@@ -140,23 +140,28 @@ where
     let job_cells: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let result_cells: Vec<Mutex<Option<JobResult<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
+    // Workers run under the caller's audit scope (if any), exactly as the
+    // sequential path does on the calling thread.
+    let audit = ioat_guard::current_scope();
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                let mut job = job_cells[i]
-                    .lock()
-                    .expect("job mutex never poisoned: taken exactly once")
-                    .take()
-                    .expect("each job index is claimed exactly once");
-                let out = attempt(&mut job, retries);
-                *result_cells[i]
-                    .lock()
-                    .expect("result mutex never poisoned: written exactly once") = Some(out);
+            scope.spawn(|| {
+                audit.enter(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        return;
+                    }
+                    let mut job = job_cells[i]
+                        .lock()
+                        .expect("job mutex never poisoned: taken exactly once")
+                        .take()
+                        .expect("each job index is claimed exactly once");
+                    let out = attempt(&mut job, retries);
+                    *result_cells[i]
+                        .lock()
+                        .expect("result mutex never poisoned: written exactly once") = Some(out);
+                })
             });
         }
     });
@@ -282,6 +287,17 @@ mod tests {
     fn zero_workers_clamps_to_sequential() {
         let jobs: Vec<_> = (0..4u32).map(|i| move || i + 10).collect();
         assert_eq!(run_jobs(jobs, 0), vec![10, 11, 12, 13]);
+    }
+
+    #[test]
+    fn workers_run_under_the_callers_audit_scope() {
+        let (budgets, _) = ioat_guard::with_audit_budget(Some(777), || {
+            let jobs: Vec<_> = (0..8).map(|_| ioat_guard::event_budget).collect();
+            run_jobs(jobs, 4)
+        });
+        assert_eq!(budgets.unwrap(), vec![Some(777); 8]);
+        let jobs: Vec<_> = (0..8).map(|_| ioat_guard::event_budget).collect();
+        assert_eq!(run_jobs(jobs, 4), vec![None; 8], "no scope, no budget");
     }
 
     #[test]

@@ -1,0 +1,154 @@
+//! Every simulation entrypoint returns the heap it allocated.
+//!
+//! A call builds a whole simulated cluster (host stacks with their L2 tag
+//! arrays, sockets, framed channels, a fabric) out of `Rc` handles that
+//! point at one another. If any of those edges forms a cycle that outlives
+//! the call, each call leaks its cluster and a sweep's memory grows with
+//! its point count. This binary counts every byte through its own global
+//! allocator and checks that the live heap after each call is back to
+//! where it was before it.
+//!
+//! It holds exactly one `#[test]` on purpose: a second test running on
+//! another thread would allocate alongside the measured call and blur the
+//! count.
+
+use ioat_core::microbench::{bandwidth, bidirectional, splitup};
+use ioat_datacenter::{emulated, run_partitioned, tiers, DataCenterConfig, ScaleConfig};
+use ioat_netsim::IoatConfig;
+use ioat_pvfs::{concurrent_read, concurrent_write, PvfsConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+/// The system allocator with a running count of live bytes.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards to `System` unchanged; the only addition
+// is an atomic counter update that never touches the memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: forwarded verbatim; the caller upholds `alloc`'s contract.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            LIVE.fetch_add(layout.size(), Relaxed);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: forwarded verbatim; the caller upholds `alloc_zeroed`'s contract.
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            LIVE.fetch_add(layout.size(), Relaxed);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded verbatim; `ptr` came from this allocator with `layout`.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: forwarded verbatim; the caller upholds `realloc`'s contract.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            LIVE.fetch_add(new_size, Relaxed);
+            LIVE.fetch_sub(layout.size(), Relaxed);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The most a call may leave behind: room for lazily initialised
+/// process-wide tables, far below one leaked host stack (its L2 tag array
+/// alone is ≈ 260 KB).
+const SLACK: usize = 64 * 1024;
+
+/// Live heap bytes `call` leaves behind once its result is dropped.
+fn retained(call: impl FnOnce()) -> isize {
+    let before = LIVE.load(Relaxed);
+    call();
+    LIVE.load(Relaxed) as isize - before as isize
+}
+
+#[test]
+fn every_entrypoint_returns_its_heap() {
+    type Entry = (String, Box<dyn Fn()>);
+    let mut entries: Vec<Entry> = Vec::new();
+    for (tag, ioat) in [
+        ("non", IoatConfig::disabled()),
+        ("ioat", IoatConfig::full()),
+    ] {
+        let mut add = |name: &str, call: Box<dyn Fn()>| {
+            entries.push((format!("{name}/{tag}"), call));
+        };
+        add(
+            "bandwidth::run",
+            Box::new(move || {
+                bandwidth::run(&bandwidth::BandwidthConfig::quick_test(), ioat);
+            }),
+        );
+        add(
+            "bidirectional::run",
+            Box::new(move || {
+                bidirectional::run(&bidirectional::BidirConfig::quick_test(), ioat);
+            }),
+        );
+        add(
+            "splitup::run_one",
+            Box::new(move || {
+                splitup::run_one(&splitup::SplitupConfig::quick_test(), ioat, 64 * 1024);
+            }),
+        );
+        add(
+            "tiers::run_single_file",
+            Box::new(move || {
+                tiers::run_single_file(&DataCenterConfig::quick_test(ioat), 16 * 1024);
+            }),
+        );
+        add(
+            "emulated::run",
+            Box::new(move || {
+                emulated::run(&emulated::EmulatedConfig::quick_test(4, ioat));
+            }),
+        );
+        add(
+            "concurrent_read",
+            Box::new(move || {
+                concurrent_read(&PvfsConfig::quick_test(2, 2, ioat));
+            }),
+        );
+        add(
+            "concurrent_write",
+            Box::new(move || {
+                concurrent_write(&PvfsConfig::quick_test(2, 2, ioat));
+            }),
+        );
+        for threads in [1, 2] {
+            add(
+                &format!("run_partitioned@{threads}"),
+                Box::new(move || {
+                    run_partitioned(&ScaleConfig::quick_test(ioat), threads);
+                }),
+            );
+        }
+    }
+
+    let leaks: Vec<String> = entries
+        .iter()
+        .map(|(name, call)| (name, retained(call)))
+        .filter(|&(_, bytes)| bytes.unsigned_abs() > SLACK)
+        .map(|(name, bytes)| format!("{name}: {bytes} B"))
+        .collect();
+    assert!(
+        leaks.is_empty(),
+        "calls kept more than {SLACK} B of heap after returning:\n{}",
+        leaks.join("\n")
+    );
+}

@@ -499,6 +499,19 @@ impl Cluster {
     }
 }
 
+/// Frees the simulation: nodes, fabric and every handler and pending
+/// event built on them. Stacks, the fabric, routers and socket handlers
+/// hold `Rc`s to one another, so dropping the fields alone would leak all
+/// of them; tearing down each node's back-edges first leaves the cluster
+/// the only owner of its graph. See DESIGN.md, "Ownership and teardown".
+impl Drop for Cluster {
+    fn drop(&mut self) {
+        for node in &self.nodes {
+            stack::teardown(node);
+        }
+    }
+}
+
 /// A wired pair of port indices: `a`'s port and `b`'s port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortPair {
@@ -511,8 +524,10 @@ pub struct PortPair {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ioat_netsim::SocketEvent;
+    use ioat_netsim::{msg, Frame, SocketEvent};
+    use ioat_simcore::SimTime;
     use std::cell::RefCell;
+    use std::rc::Weak;
 
     #[test]
     fn cluster_builds_and_transfers() {
@@ -594,6 +609,184 @@ mod tests {
         let reg = cluster.metrics();
         assert!(reg.counter("fabric.forwarded") > 0);
         assert_eq!(reg.counter("fabric.tail_drops"), 0);
+    }
+
+    /// Weak handles on every node of `cluster`.
+    fn node_weaks(cluster: &Cluster) -> Vec<Weak<RefCell<HostStack>>> {
+        cluster.nodes.iter().map(Rc::downgrade).collect()
+    }
+
+    /// Stops `cluster` mid-transfer, drops it, and asserts every node is
+    /// freed with it.
+    fn assert_drop_frees_nodes(mut cluster: Cluster) {
+        cluster.run_until(SimTime::from_micros(300));
+        assert!(cluster.sim().events_pending() > 0, "stopped mid-transfer");
+        let nodes = node_weaks(&cluster);
+        drop(cluster);
+        for (i, node) in nodes.iter().enumerate() {
+            assert!(node.upgrade().is_none(), "node {i} outlived its cluster");
+        }
+    }
+
+    #[test]
+    fn drop_frees_a_wired_pair_with_framed_channels_both_ways() {
+        let mut cluster = Cluster::new(1);
+        let a = cluster.add_node(NodeConfig::testbed("a", IoatConfig::disabled()));
+        let b = cluster.add_node(NodeConfig::testbed("b", IoatConfig::full()));
+        let ports = cluster.connect_ports(a, b, 1, true);
+        let (ab_a, ab_b) = cluster.open(a, b, ports[0], SocketOpts::tuned());
+        let (ba_b, ba_a) = cluster.open(
+            b,
+            a,
+            PortPair {
+                a: ports[0].b,
+                b: ports[0].a,
+            },
+            SocketOpts::tuned(),
+        );
+        // b answers every request on the reverse channel; a's replies
+        // handler fires the next request: handlers capture senders whose
+        // sockets point back at the stacks that hold the handlers.
+        let requests: Rc<RefCell<Option<msg::MsgSender<u32>>>> = Rc::new(RefCell::new(None));
+        let next = Rc::clone(&requests);
+        let replies = Rc::new(msg::channel(ba_b, ba_a, move |sim, n: u32| {
+            if let Some(req) = next.borrow().as_ref() {
+                req.send(sim, 64 * 1024, n + 1);
+            }
+        }));
+        let sender = msg::channel(ab_a, ab_b, move |sim, n: u32| replies.send(sim, 1_000, n));
+        sender.send(cluster.sim_mut(), 64 * 1024, 0);
+        *requests.borrow_mut() = Some(sender);
+        drop(requests);
+        assert_drop_frees_nodes(cluster);
+    }
+
+    #[test]
+    fn drop_frees_hosts_attached_to_a_fabric() {
+        let mut cluster = Cluster::new(1);
+        let fabric = cluster.install_fabric(
+            ioat_fabric::TopologySpec::FatTree { k: 4 },
+            ioat_fabric::FabricParams::gige(),
+        );
+        let a = cluster.add_node(NodeConfig::testbed("a", IoatConfig::disabled()));
+        let b = cluster.add_node(NodeConfig::testbed("b", IoatConfig::full()));
+        cluster.attach_fabric_host(a, 0);
+        cluster.attach_fabric_host(b, 15);
+        let (sa, sb) = cluster.open_on_fabric(a, 0, b, 15, SocketOpts::tuned());
+        let sb2 = sb.clone();
+        sb.set_handler(move |_s, _ev| {
+            let _ = sb2.conn();
+        });
+        sa.send(cluster.sim_mut(), 2_000_000);
+        let weak = Rc::downgrade(&fabric);
+        drop((fabric, sa, sb));
+        assert_drop_frees_nodes(cluster);
+        assert!(weak.upgrade().is_none(), "fabric outlived its cluster");
+    }
+
+    /// A two-port router that holds both attached stacks, as a parallel
+    /// run's partition router does.
+    struct PairRouter {
+        hosts: RefCell<Vec<(StackRef, usize)>>,
+    }
+
+    impl stack::FrameRouter for PairRouter {
+        fn frame_ingress(self: Rc<Self>, sim: &mut Sim, src: usize, frame: Frame) {
+            let (dst, port) = self.hosts.borrow()[1 - src].clone();
+            sim.schedule(SimDuration::ZERO, move |sim| {
+                stack::frame_arrived(&dst, sim, port, frame);
+            });
+        }
+
+        fn ack_ingress(
+            self: Rc<Self>,
+            sim: &mut Sim,
+            src: usize,
+            conn: ConnId,
+            seq: u64,
+            window: u64,
+            dup: u32,
+        ) {
+            let (dst, _) = self.hosts.borrow()[1 - src].clone();
+            sim.schedule(SimDuration::ZERO, move |sim| {
+                stack::ack_received(&dst, sim, conn, seq, window, dup);
+            });
+        }
+    }
+
+    #[test]
+    fn drop_frees_hosts_attached_to_a_router() {
+        let mut cluster = Cluster::new(1);
+        let router = Rc::new(PairRouter {
+            hosts: RefCell::new(Vec::new()),
+        });
+        let params = ioat_fabric::FabricParams::gige();
+        let mut ends = Vec::new();
+        for (i, name) in ["a", "b"].into_iter().enumerate() {
+            let node = cluster.add_node(NodeConfig::testbed(name, IoatConfig::full()));
+            let port = cluster.attach_router_host(node, router.clone(), i, &params);
+            router
+                .hosts
+                .borrow_mut()
+                .push((Rc::clone(cluster.stack(node)), port));
+            ends.push((node, port));
+        }
+        let (sa, sb) = cluster.open_with_id(
+            ends[0].0,
+            ends[0].1,
+            ends[1].0,
+            ends[1].1,
+            SocketOpts::tuned(),
+            ConnId(7),
+        );
+        let sb2 = sb.clone();
+        sb.set_handler(move |_s, _ev| {
+            let _ = sb2.conn();
+        });
+        sa.send(cluster.sim_mut(), 2_000_000);
+        let weak = Rc::downgrade(&router);
+        drop((router, sa, sb));
+        assert_drop_frees_nodes(cluster);
+        assert!(weak.upgrade().is_none(), "router outlived its cluster");
+    }
+
+    #[test]
+    fn a_budget_scope_on_another_thread_does_not_limit_this_cluster() {
+        use std::sync::mpsc;
+        const BUDGET: u64 = 5_000;
+        let (opened_tx, opened_rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel();
+        // The outsider builds and runs its cluster while a budgeted scope
+        // is open on the test thread; it must run unclamped.
+        let outsider = std::thread::spawn(move || {
+            opened_rx.recv().unwrap();
+            let mut cluster = Cluster::new(1);
+            let a = cluster.add_node(NodeConfig::testbed("a", IoatConfig::disabled()));
+            let b = cluster.add_node(NodeConfig::testbed("b", IoatConfig::full()));
+            let ports = cluster.connect_ports(a, b, 1, true);
+            let (sa, _sb) = cluster.open(a, b, ports[0], SocketOpts::tuned());
+            sa.send(cluster.sim_mut(), 4_000_000);
+            cluster.run();
+            done_tx.send(()).unwrap();
+            cluster.sim().events_executed()
+        });
+        let (scoped, _) = ioat_guard::with_audit_budget(Some(BUDGET), || {
+            opened_tx.send(()).unwrap();
+            let _ = done_rx.recv();
+            ioat_guard::event_budget()
+        });
+        let events = outsider
+            .join()
+            .expect("the outsider must not inherit another thread's event budget");
+        assert!(
+            events > BUDGET,
+            "the outsider ran past the budget: {events}"
+        );
+        assert_eq!(
+            scoped.unwrap(),
+            Some(BUDGET),
+            "the opening thread keeps its budget"
+        );
     }
 
     #[test]

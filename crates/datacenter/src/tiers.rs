@@ -225,7 +225,10 @@ where
         let attempt: Rc<RefCell<u32>> = Rc::new(RefCell::new(0));
         let current_req: Rc<RefCell<Option<Request>>> = Rc::new(RefCell::new(None));
         // Self-referential "fire the current request" closure: the retry
-        // timer it schedules must be able to call it again.
+        // timer it schedules must be able to call it again. The closure
+        // reaches its own slot through a `Weak`, so slot and closure do
+        // not keep each other alive; the response handler below holds the
+        // slot for as long as the cluster runs.
         #[allow(clippy::type_complexity)]
         let fire_slot: Rc<RefCell<Option<Rc<dyn Fn(&mut Sim)>>>> = Rc::new(RefCell::new(None));
 
@@ -235,7 +238,7 @@ where
             let waiting = Rc::clone(&waiting);
             let next_id = Rc::clone(&next_id);
             let attempt = Rc::clone(&attempt);
-            let fire_slot = Rc::clone(&fire_slot);
+            let fire_slot = Rc::downgrade(&fire_slot);
             let sh = Rc::clone(&shared);
             let sa = Rc::clone(&started_at);
             let tr = Rc::clone(&trace);
@@ -260,7 +263,7 @@ where
                     let deadline = retry.deadline(*attempt.borrow());
                     let waiting2 = Rc::clone(&waiting);
                     let attempt2 = Rc::clone(&attempt);
-                    let fire_slot2 = Rc::clone(&fire_slot);
+                    let fire_slot2 = fire_slot.clone();
                     let sh2 = Rc::clone(&sh);
                     let cur2 = Rc::clone(&cur);
                     let sa2 = Rc::clone(&sa);
@@ -282,7 +285,7 @@ where
                         }
                         if retry_now {
                             *attempt2.borrow_mut() += 1;
-                            let f = fire_slot2.borrow().clone();
+                            let f = fire_slot2.upgrade().and_then(|s| s.borrow().clone());
                             if let Some(f) = f {
                                 f(sim);
                             }
@@ -293,11 +296,11 @@ where
                             let next = tr2.borrow_mut().next_request();
                             let cur3 = Rc::clone(&cur2);
                             let sa3 = Rc::clone(&sa2);
-                            let fs3 = Rc::clone(&fire_slot2);
+                            let fs3 = fire_slot2.clone();
                             cs2.compute(sim, costs.client_process, move |sim| {
                                 *sa3.borrow_mut() = sim.now();
                                 *cur3.borrow_mut() = Some(next);
-                                let f = fs3.borrow().clone();
+                                let f = fs3.upgrade().and_then(|s| s.borrow().clone());
                                 if let Some(f) = f {
                                     f(sim);
                                 }

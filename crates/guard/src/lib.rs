@@ -23,11 +23,13 @@
 //!   stacks, DMA engines) plug their end-of-run self-checks into the
 //!   harness that owns them.
 //!
-//! The scope is process-global and serialized: figure jobs inside one
-//! scope may fan out across sweep-pool worker threads, and their audits
-//! must all land in the same collection. Concurrent [`with_audit`] calls
-//! (e.g. parallel tests) therefore queue on an internal lock; scopes must
-//! not nest.
+//! A scope belongs to the thread that opened it. Figure jobs inside one
+//! scope may fan out across sweep-pool or parsim worker threads, and
+//! their audits must all land in the same collection, so those pools
+//! carry the scope into their workers with [`current_scope`] and
+//! [`ScopeHandle::enter`]. Every other thread stays unscoped: concurrent
+//! [`with_audit`] calls (e.g. parallel tests) run side by side, and a
+//! budgeted scope never clamps a simulation it did not start.
 //!
 //! Audits are *pure reads over counters at quiescent points* — they run
 //! after `Sim::run_until` returns and never schedule events or mutate
@@ -35,9 +37,9 @@
 //! with and without `--audit`.
 
 use ioat_simcore::{Sim, SimTime};
+use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One failed invariant check, as data rather than a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,23 +145,65 @@ impl std::fmt::Debug for AuditRegistry {
     }
 }
 
-/// Serializes audit scopes: one scope at a time process-wide.
-static SCOPE: Mutex<()> = Mutex::new(());
-/// Violations collected by the currently active scope.
-static VIOLATIONS: Mutex<Vec<AuditViolation>> = Mutex::new(Vec::new());
-/// Whether a scope is active (readable from any worker thread).
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-/// Event budget of the active scope; 0 means "no budget set".
-static BUDGET: AtomicU64 = AtomicU64::new(0);
+/// One audit scope: its event budget and the violations it collected.
+#[derive(Debug)]
+struct Scope {
+    budget: Option<u64>,
+    violations: Mutex<Vec<AuditViolation>>,
+}
+
+thread_local! {
+    /// The scope this thread runs under: the one it opened with
+    /// [`with_audit_budget`], or the one its spawner handed it through
+    /// [`ScopeHandle::enter`].
+    static CURRENT: RefCell<Option<Arc<Scope>>> = const { RefCell::new(None) };
+}
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // A panicking audit scope must not wedge every later scope.
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// True while a [`with_audit`] scope is active anywhere in the process.
+/// Runs `f` with the calling thread's scope, if it has one.
+fn with_scope<R>(f: impl FnOnce(&Scope) -> R) -> Option<R> {
+    CURRENT.with(|c| c.borrow().as_deref().map(f))
+}
+
+/// The calling thread's audit scope (or its absence), as a value that can
+/// be moved into a worker thread and entered there.
+///
+/// A scope is visible only to the thread that opened it. Code that fans a
+/// job out across threads takes the handle before spawning and runs each
+/// worker's body under [`ScopeHandle::enter`], so the workers' audits and
+/// event budget belong to the same scope while unrelated threads of the
+/// process stay unscoped.
+#[derive(Clone, Debug, Default)]
+pub struct ScopeHandle(Option<Arc<Scope>>);
+
+impl ScopeHandle {
+    /// Runs `f` on the calling thread under this handle's scope, then
+    /// restores the thread's previous scope (also when `f` unwinds).
+    pub fn enter<T>(&self, f: impl FnOnce() -> T) -> T {
+        struct Restore(Option<Arc<Scope>>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                let previous = self.0.take();
+                CURRENT.with(|c| *c.borrow_mut() = previous);
+            }
+        }
+        let _restore = Restore(CURRENT.with(|c| c.replace(self.0.clone())));
+        f()
+    }
+}
+
+/// The calling thread's scope, to hand to the worker threads it spawns.
+pub fn current_scope() -> ScopeHandle {
+    ScopeHandle(CURRENT.with(|c| c.borrow().clone()))
+}
+
+/// True while the calling thread runs under a [`with_audit`] scope.
 pub fn is_active() -> bool {
-    ACTIVE.load(Ordering::Acquire)
+    with_scope(|_| ()).is_some()
 }
 
 /// True when audits should run at all: inside a scope, or always in
@@ -169,45 +213,36 @@ pub fn enabled() -> bool {
     is_active() || cfg!(debug_assertions)
 }
 
-/// The active scope's deterministic watchdog: a cap on simulator events.
-/// Components constructing a [`Sim`] clamp their event limit to this, so
-/// a wedged job panics reproducibly instead of spinning forever.
+/// The calling thread's scope's deterministic watchdog: a cap on
+/// simulator events. Components constructing a [`Sim`] clamp their event
+/// limit to this, so a wedged job panics reproducibly instead of spinning
+/// forever.
 pub fn event_budget() -> Option<u64> {
-    match BUDGET.load(Ordering::Acquire) {
-        0 => None,
-        b => Some(b),
-    }
+    with_scope(|s| s.budget).flatten()
 }
 
 /// Records a violation into the active scope (no-op without one).
 pub fn submit(v: AuditViolation) {
-    if is_active() {
-        lock(&VIOLATIONS).push(v);
-    }
+    with_scope(|s| lock(&s.violations).push(v));
 }
 
 /// Violations collected by the active scope so far (0 without one).
 /// Pairs with [`violations_since`] so a harness can surface the
 /// violations its own audit pass just produced (e.g. as trace instants).
 pub fn violation_count() -> usize {
-    if is_active() {
-        lock(&VIOLATIONS).len()
-    } else {
-        0
-    }
+    with_scope(|s| lock(&s.violations).len()).unwrap_or(0)
 }
 
 /// Clones the violations collected after index `since` (empty without an
 /// active scope).
 pub fn violations_since(since: usize) -> Vec<AuditViolation> {
-    if is_active() {
-        lock(&VIOLATIONS)
+    with_scope(|s| {
+        lock(&s.violations)
             .get(since..)
             .map(<[AuditViolation]>::to_vec)
-            .unwrap_or_default()
-    } else {
-        Vec::new()
-    }
+    })
+    .flatten()
+    .unwrap_or_default()
 }
 
 /// The reporting primitive every audit identity goes through.
@@ -242,18 +277,21 @@ pub fn check(
 /// Runs `f` under an audit scope with a sim-event budget, catching
 /// panics. Returns `f`'s outcome (the panic payload on unwind) and every
 /// violation collected while the scope was active.
+///
+/// The scope covers the calling thread and the workers that enter its
+/// [`current_scope`]. A scope opened inside another collects its own
+/// violations; the outer one resumes when it closes.
 pub fn with_audit_budget<T>(
     budget: Option<u64>,
     f: impl FnOnce() -> T,
 ) -> (std::thread::Result<T>, Vec<AuditViolation>) {
-    let _scope = lock(&SCOPE);
-    lock(&VIOLATIONS).clear();
-    BUDGET.store(budget.unwrap_or(0), Ordering::Release);
-    ACTIVE.store(true, Ordering::Release);
-    let result = panic::catch_unwind(AssertUnwindSafe(f));
-    ACTIVE.store(false, Ordering::Release);
-    BUDGET.store(0, Ordering::Release);
-    let violations = std::mem::take(&mut *lock(&VIOLATIONS));
+    let scope = Arc::new(Scope {
+        budget,
+        violations: Mutex::new(Vec::new()),
+    });
+    let handle = ScopeHandle(Some(Arc::clone(&scope)));
+    let result = handle.enter(|| panic::catch_unwind(AssertUnwindSafe(f)));
+    let violations = std::mem::take(&mut *lock(&scope.violations));
     (result, violations)
 }
 
@@ -371,6 +409,46 @@ mod tests {
         let (r, _) = with_audit_budget(Some(5_000), event_budget);
         assert_eq!(r.unwrap(), Some(5_000));
         assert_eq!(event_budget(), None);
+    }
+
+    #[test]
+    fn a_scope_is_invisible_to_threads_it_did_not_hand_it_to() {
+        use std::sync::mpsc;
+        let (opened_tx, opened_rx) = mpsc::channel();
+        let (seen_tx, seen_rx) = mpsc::channel();
+        // An unrelated thread looks while a budgeted scope is open
+        // elsewhere; it must see neither the scope nor its budget.
+        let outsider = std::thread::spawn(move || {
+            opened_rx.recv().unwrap();
+            let seen = (is_active(), event_budget());
+            seen_tx.send(()).unwrap();
+            seen
+        });
+        let (r, _) = with_audit_budget(Some(5_000), || {
+            opened_tx.send(()).unwrap();
+            seen_rx.recv().unwrap();
+            // A worker handed the scope sees its budget.
+            let handle = current_scope();
+            std::thread::scope(|s| s.spawn(|| handle.enter(event_budget)).join().unwrap())
+        });
+        assert_eq!(outsider.join().unwrap(), (false, None));
+        assert_eq!(r.unwrap(), Some(5_000));
+        assert!(!is_active());
+    }
+
+    #[test]
+    fn worker_violations_land_in_the_scope_that_handed_it_on() {
+        let (_, v) = with_audit(|| {
+            let handle = current_scope();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    handle
+                        .enter(|| check("worker", "handed-on", SimTime::ZERO, false, || "w".into()))
+                });
+            });
+        });
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].component, "worker");
     }
 
     #[test]

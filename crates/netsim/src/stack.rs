@@ -502,7 +502,7 @@ impl HostStack {
     /// count, is the number of cores an operator could reclaim by
     /// switching the node off busy-polling (see DESIGN.md §13).
     pub fn cpu_occupancy(&self, from: SimTime, to: SimTime) -> f64 {
-        if to <= from || self.cores.len() == 0 || !self.ioat.rx_mode.is_polling() {
+        if to <= from || self.cores.is_empty() || !self.ioat.rx_mode.is_polling() {
             return self.cpu_utilization(from, to);
         }
         let mut spinning = vec![false; self.cores.len()];
@@ -820,6 +820,25 @@ where
     let mut st = s.borrow_mut();
     let c = st.conns.get_mut(&conn).expect("unknown connection");
     c.handler = Some(Rc::new(RefCell::new(handler)));
+}
+
+/// Drops every edge `s` holds to the rest of its cluster: each port's
+/// `peer` and `router`, and each connection's application handler.
+///
+/// Stacks, routers and handlers point at one another (a wired peer points
+/// back, a fabric holds its attached stacks, a handler captures sockets on
+/// its own stack), so `Rc` counts alone never reach zero. The owner of a
+/// cluster calls this on every node when the simulation ends; afterwards
+/// the stack can no longer send or deliver, only report its counters.
+pub fn teardown(s: &StackRef) {
+    let mut st = s.borrow_mut();
+    for port in &mut st.ports {
+        port.peer = None;
+        port.router = None;
+    }
+    for c in st.conns.values_mut() {
+        c.handler = None;
+    }
 }
 
 /// Switches `conn` from the default tight-receive-loop mode to explicit

@@ -478,6 +478,9 @@ where
     // the two barriers in between.
     let min_slots = [AtomicU64::new(NO_EVENT), AtomicU64::new(NO_EVENT)];
     let panics: Mutex<Vec<(usize, Box<dyn Any + Send>)>> = Mutex::new(Vec::new());
+    // Partitions audit and budget their engines under the caller's audit
+    // scope, whichever worker thread runs them.
+    let audit = ioat_guard::current_scope();
 
     let worker_results: Vec<WorkerOutcome<P::Out>> = std::thread::scope(|scope| {
         let handles: Vec<_> = per_worker
@@ -489,11 +492,14 @@ where
                 let min_slots = &min_slots;
                 let panics = &panics;
                 let mailboxes = &mailboxes;
+                let audit = &audit;
                 scope.spawn(move || {
-                    worker_loop(
-                        w, mine, lookahead, horizon, barrier, abort_at, min_slots, panics,
-                        mailboxes,
-                    )
+                    audit.enter(|| {
+                        worker_loop(
+                            w, mine, lookahead, horizon, barrier, abort_at, min_slots, panics,
+                            mailboxes,
+                        )
+                    })
                 })
             })
             .collect();

@@ -86,6 +86,32 @@ fn boundary_traffic_is_conserved_and_audit_clean() {
 }
 
 #[test]
+fn partitions_build_under_the_callers_audit_scope() {
+    for threads in [1, 3] {
+        let seen = std::sync::Mutex::new(Vec::new());
+        let (result, _) = ioat_guard::with_audit_budget(Some(4_321), || {
+            let n = 3;
+            let builders: Vec<_> = (0..n)
+                .map(|_| {
+                    let seen = &seen;
+                    move |idx: usize, out: Outbox<u64>| -> RingNode {
+                        seen.lock().unwrap().push(ioat_guard::event_budget());
+                        build_node(idx, n, 5, out)
+                    }
+                })
+                .collect();
+            run(builders, HOP, HORIZON, threads)
+        });
+        assert!(result.is_ok(), "run completed");
+        assert_eq!(
+            seen.into_inner().unwrap(),
+            vec![Some(4_321); 3],
+            "threads={threads}: every partition sees the caller's budget"
+        );
+    }
+}
+
+#[test]
 fn partition_panic_propagates_to_the_caller() {
     for threads in [1, 2, 3] {
         let result = std::panic::catch_unwind(|| {

@@ -124,9 +124,7 @@ struct State {
     stats: ClientFaultStats,
     /// Ops whose reply arrived in time (lifecycle audit bookkeeping).
     completed_ops: u64,
-    /// Single-threaded process model: when set, reply processing runs
-    /// through this serial thread with the rx-copy term at `rx_ps`.
-    proc: Option<ProcessCpu>,
+    /// Rx-copy cost of the single-threaded process model, ps per byte.
     rx_ps: u64,
 }
 
@@ -135,6 +133,12 @@ pub struct ClientProcess {
     state: Rc<RefCell<State>>,
     senders: Rc<RefCell<Vec<MsgSender<IodRequest>>>>,
     socket_for_compute: Socket,
+    /// Single-threaded process model: when set, reply processing runs
+    /// through this serial thread with the rx-copy term at `rx_ps`. Kept
+    /// out of `State` on purpose: jobs waiting in the thread's queue
+    /// capture `State`, so `State` owning the thread would be a cycle
+    /// that outlives the run.
+    proc: Rc<RefCell<Option<ProcessCpu>>>,
 }
 
 impl std::fmt::Debug for ClientProcess {
@@ -178,11 +182,11 @@ impl ClientProcess {
                 retry: RetryPolicy::default(),
                 stats: ClientFaultStats::default(),
                 completed_ops: 0,
-                proc: None,
                 rx_ps: 0,
             })),
             senders: Rc::new(RefCell::new(Vec::new())),
             socket_for_compute,
+            proc: Rc::new(RefCell::new(None)),
         }
     }
 
@@ -202,9 +206,8 @@ impl ClientProcess {
     /// legacy behavior (each reply computes on the least-loaded core,
     /// no rx-copy term).
     pub fn set_process_cpu(&self, proc: ProcessCpu, rx_ps_per_byte: u64) {
-        let mut st = self.state.borrow_mut();
-        st.proc = Some(proc);
-        st.rx_ps = rx_ps_per_byte;
+        *self.proc.borrow_mut() = Some(proc);
+        self.state.borrow_mut().rx_ps = rx_ps_per_byte;
     }
 
     /// Fault/recovery counters accumulated so far.
@@ -302,8 +305,10 @@ impl ClientProcess {
         let state = Rc::clone(&self.state);
         let senders = Rc::clone(&self.senders);
         let sock = self.socket_for_compute.clone();
+        let proc_slot = Rc::clone(&self.proc);
         move |sim, reply| {
-            let (cost, proc) = {
+            let proc = proc_slot.borrow().clone();
+            let cost = {
                 let mut st = state.borrow_mut();
                 let Some(opst) = st.ops.remove(&reply.op()) else {
                     // The op was already retried or abandoned; discard the
@@ -318,7 +323,7 @@ impl ClientProcess {
                 st.outstanding -= 1;
                 st.completed_ops += 1;
                 st.done.borrow_mut().add_at(sim.now(), len);
-                let cost = match st.proc {
+                match proc {
                     // Single-threaded model: charge the rx copy of what
                     // came over the wire — the data piece for reads, the
                     // 64-byte ack for writes.
@@ -330,8 +335,7 @@ impl ClientProcess {
                         st.params.consume_cost(len, rx_bytes, st.rx_ps)
                     }
                     None => st.params.piece_cost(len),
-                };
-                (cost, st.proc.clone())
+                }
             };
             let state2 = Rc::clone(&state);
             let senders2 = Rc::clone(&senders);
