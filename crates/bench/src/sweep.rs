@@ -183,7 +183,8 @@ where
 ///
 /// # Panics
 ///
-/// * On an empty job list (harness bug — see [`run_jobs_raw`]).
+/// * On an empty job list: a figure that sweeps zero points is a
+///   harness bug, not an empty table.
 /// * A panic inside any job propagates to the caller after the pool
 ///   drains, with its original payload and in input order (job 3's
 ///   panic is re-raised even if job 7 also panicked earlier in wall
@@ -230,7 +231,8 @@ where
 ///
 /// # Panics
 ///
-/// Only on an empty job list (harness bug — see [`run_jobs_raw`]).
+/// Only on an empty job list: a figure that sweeps zero points is a
+/// harness bug, not an empty table.
 pub fn run_jobs_supervised<T, F>(jobs: Vec<F>, workers: usize, retries: usize) -> Vec<JobOutcome<T>>
 where
     T: Send,

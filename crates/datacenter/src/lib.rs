@@ -18,9 +18,12 @@
 //! * [`costs`] — Apache-era per-request CPU cost model.
 //! * [`tiers`] — the two-tier testbed assembly and closed-loop drivers.
 //! * [`emulated`] — the Fig. 9 scenario.
-//! * [`scale`] — the same tiers behind a Clos fabric at datacenter
-//!   scale: thousands of servers, up to ~10⁶ emulated Zipf clients,
-//!   streaming statistics.
+//! * [`scale`] — configuration and result types for the same tiers
+//!   behind a Clos fabric at datacenter scale: thousands of servers, up
+//!   to ~10⁶ emulated Zipf clients.
+//! * [`parallel`] — the engine that runs the fabric-scale scenario
+//!   ([`run_partitioned`]), on one worker thread or many, with streaming
+//!   statistics.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

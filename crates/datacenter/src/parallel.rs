@@ -1,5 +1,7 @@
-//! The fabric-scale datacenter of [`crate::scale`], partitioned for the
-//! conservative parallel engine in `ioat-parsim`.
+//! The fabric-scale datacenter engine: the scenario of [`crate::scale`],
+//! partitioned for the conservative parallel engine in `ioat-parsim`.
+//! At one worker thread the partitions run inline on the calling thread,
+//! so the same code is the sequential engine too; every figure runs it.
 //!
 //! # Partitioning
 //!
@@ -8,7 +10,7 @@
 //! forwarding); partitions `1..=G` each own a *group* of servers — the
 //! `f = webs_per_proxy` proxies that share one web subset plus those `f`
 //! web servers — together with the emulated clients driving them. The
-//! sequential subset rule `w = (p·f + j) mod n_webs` makes proxies `p`
+//! subset rule `w = (p·f + j) mod n_webs` makes proxies `p`
 //! and `p + G` (where `G = n_webs / f`) talk to the same webs, so group
 //! `g` holds proxies `{g, g+G, g+2G, …}` and webs `[g·f, (g+1)·f)`; every
 //! connection's two endpoints land in one partition and only *data
@@ -25,11 +27,21 @@
 //! Results are a pure function of the configuration: bit-identical for
 //! any worker-thread count (the engine merges boundary messages by
 //! `(time, sending partition, sender sequence)`), and the partition
-//! layout itself is fixed by the config, never by `threads`. They are
-//! *not* numerically identical to the sequential [`crate::scale::run`] —
-//! partitioning reorders same-instant events and decorrelates the
-//! per-group Zipf streams — so sequential/partitioned comparisons are
-//! A/B experiments, not regression checks.
+//! layout itself is fixed by the config, never by `threads`. Each group
+//! draws its clients' documents from its own Zipf stream.
+//!
+//! # Memory
+//!
+//! Every per-client and per-request structure is fixed-size so memory
+//! stays bounded at a million clients:
+//!
+//! * per-client state is one slab slot in its group (the request start
+//!   instant and generation — the document travels in the message
+//!   metadata);
+//! * latencies stream into a fixed-bucket log-scale [`Histogram`] and a
+//!   Welford [`Summary`] (online mean/max) per group, merged afterwards,
+//!   never a per-request `Vec`;
+//! * throughput is a windowed [`Counter`].
 
 use crate::costs::{DataCenterCosts, REQUEST_WIRE_BYTES};
 use crate::msg::{self, MsgSender};
@@ -107,9 +119,9 @@ impl Layout {
     }
 }
 
-/// Per (local proxy, subset slot) request-path endpoints, as in
-/// [`crate::scale`] but indexed group-locally. Request metadata is
-/// `(slot, generation, size)`.
+/// Per (local proxy, subset slot) request-path endpoints: the proxy-side
+/// socket (for compute charging) and the request sender toward the
+/// chosen web server. Request metadata is `(slot, generation, size)`.
 type ReqSlot = Option<(Socket, MsgSender<(u32, u32, u64)>)>;
 
 /// Group-local run state: the partition's slice of the client slab plus
@@ -125,7 +137,9 @@ struct GroupShared {
     /// Local proxy index of each local client's proxy.
     client_q: Vec<u32>,
     started: RefCell<Vec<SimTime>>,
-    /// Per-local-client request generation; see [`crate::scale`].
+    /// Per-local-client request generation: responses and hedge
+    /// deadlines carry the generation they were fired under; completion
+    /// bumps it, which instantly stales every outstanding duplicate.
     generation: RefCell<Vec<u32>>,
     /// Transactions currently admitted per *local* proxy.
     in_flight: RefCell<Vec<u32>>,
@@ -137,8 +151,9 @@ struct GroupShared {
     latency_sum: RefCell<Summary>,
 }
 
-/// One closed-loop client iteration on its group's partition; mirrors
-/// [`crate::scale`]'s `fire` with local indices.
+/// One closed-loop client iteration on its group's partition: draw a
+/// document, cross the client access delay, pass (or fail) proxy
+/// admission, run the request path.
 fn fire(shared: &Rc<GroupShared>, sim: &mut Sim, slot: u32) {
     let req = shared.trace.borrow_mut().next_request();
     shared.started.borrow_mut()[slot as usize] = sim.now();
@@ -146,6 +161,10 @@ fn fire(shared: &Rc<GroupShared>, sim: &mut Sim, slot: u32) {
     let idx = q * shared.f + req.file_id as usize % shared.f;
     let sh = Rc::clone(shared);
     sim.schedule(shared.client_latency, move |sim| {
+        // Deterministic load shedding: over budget, the request is turned
+        // away before any proxy work and the client backs off one think
+        // time — the shed path costs the proxy nothing, which is the
+        // point of admission control.
         if let Some(budget) = sh.admit_budget {
             if sh.in_flight.borrow()[q] >= budget {
                 sh.shed.set(sh.shed.get() + 1);
@@ -160,8 +179,11 @@ fn fire(shared: &Rc<GroupShared>, sim: &mut Sim, slot: u32) {
     });
 }
 
-/// One transmission of a request (attempt 0 = original, ≥ 1 = hedges);
-/// mirrors [`crate::scale`]'s `send_attempt` with local indices.
+/// One transmission of a client's request (attempt 0 is the original,
+/// attempts ≥ 1 are hedges): charge the proxy compute, send the
+/// generation-tagged request, and — with a hedge policy installed — arm
+/// the next hedge deadline, which fires only if the generation is still
+/// outstanding.
 fn send_attempt(
     shared: &Rc<GroupShared>,
     sim: &mut Sim,
@@ -175,6 +197,7 @@ fn send_attempt(
         let senders = shared.req.borrow();
         senders[idx].as_ref().expect("sender installed").0.clone()
     };
+    // A hedge re-sends an already-parsed request: forward cost only.
     let cost = if attempt == 0 {
         shared.costs.proxy_parse + shared.costs.proxy_forward
     } else {
@@ -274,7 +297,7 @@ fn build_fabric_part(cfg: &ScaleConfig, lay: Layout, out: Outbox<NetMsg>) -> Fab
     sim.set_event_limit(limit);
     let fabric = Fabric::new(cfg.spec, cfg.fabric);
     // The fault plan is a pure function of (spec, topology, window), so
-    // this partition expands exactly the plan the sequential build would.
+    // it does not depend on the partition layout.
     if cfg.faults.is_active() {
         fabric.set_faults(&cfg.faults.plan(fabric.topology(), &cfg.window));
     }
@@ -423,15 +446,18 @@ fn build_group_part(cfg: &ScaleConfig, lay: Layout, g: usize, out: Outbox<NetMsg
                 },
             );
 
-            // Response and request paths, exactly as in the sequential
-            // build but over group-local slots.
+            // Responses web → proxy → (after the access delay) client:
+            // relay on the proxy, complete the transaction, think, fire
+            // the client's next request.
             let sh = Rc::clone(&shared);
             let p_sock2 = p_sock.clone();
             let respond = msg::channel(
                 w_sock.clone(),
                 p_sock.clone(),
                 move |sim, (slot, generation): (u32, u32)| {
-                    // Stale hedge duplicate: already completed, discard.
+                    // A response for a superseded generation is a stale
+                    // hedge duplicate — the transaction already
+                    // completed; discard it before any proxy work.
                     if sh.generation.borrow()[slot as usize] != generation {
                         return;
                     }
@@ -456,6 +482,8 @@ fn build_group_part(cfg: &ScaleConfig, lay: Layout, g: usize, out: Outbox<NetMsg
             );
             let respond = Rc::new(respond);
 
+            // Requests proxy → web: serve the document, send it back with
+            // the request's generation tag.
             let costs = cfg.costs;
             let w_sock2 = w_sock.clone();
             let request = msg::channel(
@@ -646,13 +674,14 @@ impl Partition for DcPartition {
 /// threads, returning the merged result plus the engine's
 /// per-partition/per-window report.
 ///
-/// Results are bit-identical for any `threads ≥ 1` (see the module docs
-/// for why they differ from the sequential [`crate::scale::run`]).
+/// Results are bit-identical for any `threads ≥ 1`; at one thread the
+/// partitions run inline on the calling thread.
 ///
 /// # Panics
 ///
 /// Panics if `threads` is zero, or if the configuration cannot be tiled
-/// into groups (`webs_per_proxy` must divide the web-tier size).
+/// into groups: the topology's host count must be even and
+/// `webs_per_proxy` must divide the web-tier size.
 pub fn run_partitioned(cfg: &ScaleConfig, threads: usize) -> (ScaleResult, ParsimReport) {
     let lay = Layout::of(cfg);
     let cfg = *cfg;
@@ -741,7 +770,9 @@ pub fn run_partitioned(cfg: &ScaleConfig, threads: usize) -> (ScaleResult, Parsi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::FabricFaultSpec;
     use ioat_netsim::IoatConfig;
+    use ioat_simcore::SimDuration;
 
     #[test]
     fn partitioned_results_are_bit_identical_across_worker_counts() {
@@ -773,10 +804,14 @@ mod tests {
             violations.is_empty(),
             "audits must be clean: {violations:?}"
         );
+        assert!(r.completed > 0, "clients must complete transactions");
         assert!(r.tps > 0.0);
+        assert!(r.latency_p50_us > 0);
         assert!(r.latency_p99_us >= r.latency_p50_us);
+        assert!(r.latency_max_us >= r.latency_p99_us as f64 / 2.0);
         assert!(r.proxy_cpu > 0.0 && r.proxy_cpu <= 1.0);
         assert!(r.web_cpu > 0.0 && r.web_cpu <= 1.0);
+        assert!(r.sim_events > 0);
         assert_eq!(rep.partitions, 1 + 2, "fat-tree(4): fabric + 2 groups");
     }
 
@@ -791,8 +826,6 @@ mod tests {
 
     #[test]
     fn faulted_partitioned_runs_are_bit_identical_across_worker_counts() {
-        use crate::scale::FabricFaultSpec;
-        use ioat_simcore::SimDuration;
         let mut cfg = ScaleConfig::quick_test(IoatConfig::disabled());
         cfg.faults = FabricFaultSpec {
             flaps_per_link: 3,
@@ -835,5 +868,100 @@ mod tests {
             ioat_per < non_per,
             "I/OAT {ioat_per:.3e} vs non {non_per:.3e} CPU/txn"
         );
+    }
+
+    #[test]
+    fn more_flaps_blackhole_at_least_as_many_frames() {
+        // The flap model draws each link's windows sequentially from one
+        // dedicated stream, so n flaps' schedule is a prefix of n+1's —
+        // degradation is structurally monotone in the flap rate.
+        let mut prev = 0;
+        for flaps in [0u32, 3, 9] {
+            let mut cfg = ScaleConfig::quick_test(IoatConfig::disabled());
+            cfg.faults = FabricFaultSpec {
+                flaps_per_link: flaps,
+                ..FabricFaultSpec::none()
+            };
+            let (r, _) = run_partitioned(&cfg, 1);
+            assert!(
+                r.route_blackholes >= prev,
+                "blackholes must not decrease with flap rate \
+                 ({flaps} flaps: {} < {prev})",
+                r.route_blackholes
+            );
+            prev = r.route_blackholes;
+        }
+        assert!(prev > 0, "the densest flap schedule must blackhole frames");
+    }
+
+    #[test]
+    fn tiny_admission_budget_sheds_and_caps_in_flight_work() {
+        let mut cfg = ScaleConfig::quick_test(IoatConfig::disabled());
+        let (open, _) = run_partitioned(&cfg, 1);
+        cfg.admit_budget = Some(1);
+        let (result, violations) = ioat_guard::with_audit(|| run_partitioned(&cfg, 1));
+        let (capped, _) = result.expect("capped run completes");
+        assert!(
+            violations.is_empty(),
+            "audits must stay clean under shedding: {violations:?}"
+        );
+        assert!(capped.shed > 0, "a budget of 1 must shed requests");
+        assert!(
+            capped.completed > 0,
+            "admitted requests must still complete"
+        );
+        assert!(
+            capped.completed < open.completed,
+            "shedding must cost throughput ({} vs {})",
+            capped.completed,
+            open.completed
+        );
+        assert_eq!(open.shed, 0, "no budget, nothing shed");
+    }
+
+    #[test]
+    fn hedged_retries_fire_during_an_outage_and_stale_wins_are_discarded() {
+        let mut cfg = ScaleConfig::quick_test(IoatConfig::disabled());
+        cfg.faults = FabricFaultSpec {
+            crashed_switches: 2,
+            ..FabricFaultSpec::none()
+        };
+        cfg.hedge = Some(RetryPolicy {
+            timeout: SimDuration::from_millis(4),
+            max_retries: 2,
+            backoff: 2.0,
+        });
+        let (result, violations) = ioat_guard::with_audit(|| run_partitioned(&cfg, 1));
+        let (r, _) = result.expect("hedged run completes");
+        assert!(
+            violations.is_empty(),
+            "audits must stay clean under hedging: {violations:?}"
+        );
+        assert!(
+            r.hedges > 0,
+            "outage-lengthened requests must trip the hedge deadline"
+        );
+        assert!(r.completed > 0, "hedged transactions must complete");
+    }
+
+    #[test]
+    #[should_panic(expected = "even host count")]
+    fn an_odd_host_count_is_rejected() {
+        let mut cfg = ScaleConfig::quick_test(IoatConfig::disabled());
+        cfg.spec = ioat_fabric::TopologySpec::LeafSpine {
+            leaves: 3,
+            spines: 2,
+            hosts_per_leaf: 3,
+        };
+        run_partitioned(&cfg, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "must divide the web tier")]
+    fn webs_per_proxy_must_divide_the_web_tier() {
+        // fat-tree(4): 8 web servers, which 3-web subsets cannot tile.
+        let mut cfg = ScaleConfig::quick_test(IoatConfig::disabled());
+        cfg.webs_per_proxy = 3;
+        run_partitioned(&cfg, 1);
     }
 }

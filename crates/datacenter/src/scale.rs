@@ -2,7 +2,7 @@
 //! Clos fabric, fronting up to ~10⁶ emulated Zipf clients.
 //!
 //! The paper's two-tier testbed (§5) stops at 2 nodes and 44 emulated
-//! clients; this module re-asks the I/OAT question at datacenter scale.
+//! clients; this scenario re-asks the I/OAT question at datacenter scale.
 //! The first half of the topology's hosts run the proxy tier, the second
 //! half the web tier; every proxy holds persistent connections to a small
 //! deterministic subset of web servers (`webs_per_proxy`, a documented
@@ -12,26 +12,18 @@
 //! the client-side latency, drive the proxy's request path
 //! (parse + forward → web serve → relay), then think and repeat.
 //!
-//! Every per-client and per-request structure is fixed-size so memory
-//! stays bounded at a million clients:
-//!
-//! * per-client state is one slab slot (the request start instant — the
-//!   document travels in the message metadata);
-//! * latencies stream into a fixed-bucket log-scale [`Histogram`] and a
-//!   Welford [`Summary`] (online mean/max), never a per-request `Vec`;
-//! * throughput is a windowed [`Counter`].
+//! This module holds the scenario's plain-data types: [`ScaleConfig`],
+//! [`FabricFaultSpec`] and [`ScaleResult`]. The engine that runs it is
+//! [`crate::parallel::run_partitioned`], which keeps every per-client and
+//! per-request structure fixed-size so memory stays bounded at a million
+//! clients.
 
-use crate::costs::{DataCenterCosts, REQUEST_WIRE_BYTES};
-use crate::msg::{self, MsgSender};
-use crate::workload::{FileCatalog, Trace, ZipfTrace};
-use ioat_core::cluster::{Cluster, NodeConfig, NodeHandle};
+use crate::costs::DataCenterCosts;
 use ioat_core::metrics::ExperimentWindow;
 use ioat_core::{IoatConfig, SocketOpts};
 use ioat_fabric::{FabricParams, Topology, TopologySpec};
 use ioat_faults::{CrashWindow, FaultPlan, LinkFlapModel, RetryPolicy, TimeWindow};
-use ioat_simcore::{Counter, Histogram, SimDuration, SimRng, SimTime, Summary};
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+use ioat_simcore::{SimDuration, SimRng};
 
 /// Fabric-facing fault injection for a scale run, expanded against the
 /// run's topology and measurement window by [`FabricFaultSpec::plan`].
@@ -116,7 +108,7 @@ impl FabricFaultSpec {
 #[derive(Debug, Clone, Copy)]
 pub struct ScaleConfig {
     /// Fabric topology; its host count fixes the server count (half
-    /// proxies, half web servers).
+    /// proxies, half web servers), so it must be even.
     pub spec: TopologySpec,
     /// Fabric physical parameters (bandwidths, oversubscription, buffers,
     /// ECMP seed).
@@ -133,7 +125,9 @@ pub struct ScaleConfig {
     pub alpha: f64,
     /// Documents in the catalog.
     pub catalog_files: usize,
-    /// Web servers each proxy holds persistent connections to.
+    /// Web servers each proxy holds persistent connections to. Clamped
+    /// to the web-tier size, it must then divide that size: the subsets
+    /// tile the web tier into disjoint server groups, one per partition.
     pub webs_per_proxy: usize,
     /// Client think time between a completed response and the next
     /// request.
@@ -251,446 +245,4 @@ pub struct ScaleResult {
     pub proxy_occupancy: f64,
     /// Simulator events executed by the end of the window.
     pub sim_events: u64,
-}
-
-/// Per (proxy, subset-slot) request-path endpoints: the proxy-side
-/// socket (for compute charging) and the request sender toward the
-/// chosen web server. Request metadata is `(slot, generation, size)`.
-type ReqSlot = Option<(ioat_netsim::Socket, MsgSender<(u32, u32, u64)>)>;
-
-/// Shared run state: the client slab plus streaming statistics. One
-/// allocation each, fixed size for the whole run.
-struct Shared {
-    n_proxies: usize,
-    webs_per_proxy: usize,
-    costs: DataCenterCosts,
-    think: SimDuration,
-    client_latency: SimDuration,
-    admit_budget: Option<u32>,
-    hedge: Option<RetryPolicy>,
-    trace: RefCell<ZipfTrace>,
-    /// Slab of per-client request start instants, indexed by client slot.
-    started: RefCell<Vec<SimTime>>,
-    /// Per-client request generation: responses and hedge deadlines carry
-    /// the generation they were fired under; completion bumps it, which
-    /// instantly stales every outstanding duplicate.
-    generation: RefCell<Vec<u32>>,
-    /// Transactions currently admitted per proxy, for admission control.
-    in_flight: RefCell<Vec<u32>>,
-    shed: Cell<u64>,
-    hedges: Cell<u64>,
-    req: RefCell<Vec<ReqSlot>>,
-    completed: RefCell<Counter>,
-    latency_hist: RefCell<Histogram>,
-    latency_sum: RefCell<Summary>,
-}
-
-/// One closed-loop client iteration: draw a document, cross the client
-/// access delay, pass (or fail) proxy admission, run the request path.
-fn fire(shared: &Rc<Shared>, sim: &mut ioat_simcore::Sim, slot: u32) {
-    let req = shared.trace.borrow_mut().next_request();
-    shared.started.borrow_mut()[slot as usize] = sim.now();
-    let p = slot as usize % shared.n_proxies;
-    let idx = p * shared.webs_per_proxy + req.file_id as usize % shared.webs_per_proxy;
-    let sh = Rc::clone(shared);
-    sim.schedule(shared.client_latency, move |sim| {
-        // Deterministic load shedding: over budget, the request is turned
-        // away before any proxy work and the client backs off one think
-        // time — the shed path costs the proxy nothing, which is the
-        // point of admission control.
-        if let Some(budget) = sh.admit_budget {
-            if sh.in_flight.borrow()[p] >= budget {
-                sh.shed.set(sh.shed.get() + 1);
-                let sh2 = Rc::clone(&sh);
-                sim.schedule(sh.think, move |sim| fire(&sh2, sim, slot));
-                return;
-            }
-        }
-        sh.in_flight.borrow_mut()[p] += 1;
-        let generation = sh.generation.borrow()[slot as usize];
-        send_attempt(&sh, sim, slot, generation, 0, idx, req.size);
-    });
-}
-
-/// One transmission of a client's request (attempt 0 is the original,
-/// attempts ≥ 1 are hedges): charge the proxy compute, send the
-/// generation-tagged request, and — with a hedge policy installed — arm
-/// the next hedge deadline, which fires only if the generation is still
-/// outstanding.
-fn send_attempt(
-    shared: &Rc<Shared>,
-    sim: &mut ioat_simcore::Sim,
-    slot: u32,
-    generation: u32,
-    attempt: u32,
-    idx: usize,
-    size: u64,
-) {
-    let sock = {
-        let senders = shared.req.borrow();
-        senders[idx].as_ref().expect("sender installed").0.clone()
-    };
-    // A hedge re-sends an already-parsed request: forward cost only.
-    let cost = if attempt == 0 {
-        shared.costs.proxy_parse + shared.costs.proxy_forward
-    } else {
-        shared.costs.proxy_forward
-    };
-    let sh = Rc::clone(shared);
-    sock.compute(sim, cost, move |sim| {
-        {
-            let senders = sh.req.borrow();
-            let (_, sender) = senders[idx].as_ref().expect("sender installed");
-            sender.send(sim, REQUEST_WIRE_BYTES, (slot, generation, size));
-        }
-        if let Some(policy) = sh.hedge {
-            if attempt < policy.max_retries {
-                let sh2 = Rc::clone(&sh);
-                sim.schedule(policy.deadline(attempt), move |sim| {
-                    if sh2.generation.borrow()[slot as usize] == generation {
-                        sh2.hedges.set(sh2.hedges.get() + 1);
-                        send_attempt(&sh2, sim, slot, generation, attempt + 1, idx, size);
-                    }
-                });
-            }
-        }
-    });
-}
-
-/// Runs the fabric-scale scenario.
-pub fn run(cfg: &ScaleConfig) -> ScaleResult {
-    let topo = Topology::new(cfg.spec);
-    let hosts = topo.hosts();
-    assert!(hosts >= 2, "need at least one proxy and one web host");
-    assert!(cfg.clients > 0, "need at least one client");
-    assert!(cfg.webs_per_proxy > 0, "need at least one web per proxy");
-    let n_proxies = hosts / 2;
-    let n_webs = hosts - n_proxies;
-    let f = cfg.webs_per_proxy.min(n_webs);
-
-    let mut cluster = Cluster::new(cfg.seed);
-    let fabric = cluster.install_fabric(cfg.spec, cfg.fabric);
-    if cfg.faults.is_active() {
-        let plan = cfg.faults.plan(fabric.topology(), &cfg.window);
-        cluster.set_faults(&plan);
-    }
-
-    let mut nodes: Vec<NodeHandle> = Vec::with_capacity(hosts);
-    let proxies: Vec<NodeHandle> = (0..n_proxies)
-        .map(|p| {
-            let h = cluster.add_node(NodeConfig::profiled(
-                &format!("p{p}"),
-                cfg.ioat,
-                cfg.profile,
-            ));
-            cluster.attach_fabric_host(h, p);
-            nodes.push(h);
-            h
-        })
-        .collect();
-    let webs: Vec<NodeHandle> = (0..n_webs)
-        .map(|w| {
-            let h = cluster.add_node(NodeConfig::profiled(
-                &format!("w{w}"),
-                cfg.ioat,
-                cfg.profile,
-            ));
-            cluster.attach_fabric_host(h, n_proxies + w);
-            nodes.push(h);
-            h
-        })
-        .collect();
-
-    let mut rng = SimRng::seed_from(cfg.seed);
-    let catalog = FileCatalog::web_content(cfg.catalog_files, 8 * 1024, &mut rng);
-    let trace = ZipfTrace::new(catalog, cfg.alpha, rng.fork());
-
-    let mut completed = Counter::new();
-    completed.begin_window(cfg.window.from());
-    let shared = Rc::new(Shared {
-        n_proxies,
-        webs_per_proxy: f,
-        costs: cfg.costs,
-        think: cfg.think,
-        client_latency: cfg.client_latency,
-        admit_budget: cfg.admit_budget,
-        hedge: cfg.hedge,
-        trace: RefCell::new(trace),
-        started: RefCell::new(vec![SimTime::ZERO; cfg.clients]),
-        generation: RefCell::new(vec![0; cfg.clients]),
-        in_flight: RefCell::new(vec![0; n_proxies]),
-        shed: Cell::new(0),
-        hedges: Cell::new(0),
-        req: RefCell::new((0..n_proxies * f).map(|_| None).collect()),
-        completed: RefCell::new(completed),
-        latency_hist: RefCell::new(Histogram::new()),
-        latency_sum: RefCell::new(Summary::new()),
-    });
-
-    let opts = ScaleConfig::opts();
-    for (p, &proxy) in proxies.iter().enumerate() {
-        for j in 0..f {
-            let w = (p * f + j) % n_webs;
-            let (p_sock, w_sock) = cluster.open_on_fabric(proxy, p, webs[w], n_proxies + w, opts);
-
-            // Responses web → proxy → (after the access delay) client:
-            // relay on the proxy, complete the transaction, think, fire
-            // the client's next request.
-            let sh = Rc::clone(&shared);
-            let p_sock2 = p_sock.clone();
-            let respond = msg::channel(
-                w_sock.clone(),
-                p_sock.clone(),
-                move |sim, (slot, generation): (u32, u32)| {
-                    // A response for a superseded generation is a stale
-                    // hedge duplicate — the transaction already
-                    // completed; discard it before any proxy work.
-                    if sh.generation.borrow()[slot as usize] != generation {
-                        return;
-                    }
-                    sh.generation.borrow_mut()[slot as usize] += 1;
-                    sh.in_flight.borrow_mut()[slot as usize % sh.n_proxies] -= 1;
-                    let sh2 = Rc::clone(&sh);
-                    p_sock2.compute(sim, sh.costs.proxy_relay, move |sim| {
-                        let sh3 = Rc::clone(&sh2);
-                        sim.schedule(sh2.client_latency, move |sim| {
-                            let now = sim.now();
-                            let lat = now - sh3.started.borrow()[slot as usize];
-                            let us = lat.as_nanos() / 1_000;
-                            sh3.completed.borrow_mut().add_at(now, 1);
-                            sh3.latency_hist.borrow_mut().record(us.max(1));
-                            sh3.latency_sum.borrow_mut().add(us as f64);
-                            let sh4 = Rc::clone(&sh3);
-                            sim.schedule(sh3.think, move |sim| fire(&sh4, sim, slot));
-                        });
-                    });
-                },
-            );
-            let respond = Rc::new(respond);
-
-            // Requests proxy → web: serve the document, send it back with
-            // the request's generation tag.
-            let costs = cfg.costs;
-            let w_sock2 = w_sock.clone();
-            let request = msg::channel(
-                p_sock.clone(),
-                w_sock,
-                move |sim, (slot, generation, size): (u32, u32, u64)| {
-                    let rsp = Rc::clone(&respond);
-                    w_sock2.compute(sim, costs.web_serve(size), move |sim| {
-                        rsp.send(sim, size, (slot, generation));
-                    });
-                },
-            );
-            shared.req.borrow_mut()[p * f + j] = Some((p_sock, request));
-        }
-    }
-
-    // Stagger client starts across the warmup so the window opens at
-    // steady state instead of on a synchronized thundering herd.
-    let warmup_ns = cfg.window.warmup.as_nanos().max(1);
-    for slot in 0..cfg.clients as u32 {
-        let at = SimDuration::from_nanos(warmup_ns * u64::from(slot) / cfg.clients as u64);
-        let sh = Rc::clone(&shared);
-        cluster
-            .sim_mut()
-            .schedule(at, move |sim| fire(&sh, sim, slot));
-    }
-
-    let (from, to) = cfg.window.execute(&mut cluster, &nodes);
-    let elapsed = (to - from).as_secs_f64();
-    let tier_cpu = |handles: &[NodeHandle]| {
-        handles
-            .iter()
-            .map(|&h| cluster.stack(h).borrow().cpu_utilization(from, to))
-            .sum::<f64>()
-            / handles.len() as f64
-    };
-    let proxy_occupancy = proxies
-        .iter()
-        .map(|&h| cluster.stack(h).borrow().cpu_occupancy(from, to))
-        .sum::<f64>()
-        / proxies.len() as f64;
-    let hist = shared.latency_hist.borrow();
-    let sum = shared.latency_sum.borrow();
-    let completed = shared.completed.borrow().window_total();
-    ScaleResult {
-        tps: completed as f64 / elapsed,
-        completed,
-        latency_mean_us: sum.mean(),
-        latency_p50_us: hist.quantile(0.50),
-        latency_p99_us: hist.quantile(0.99),
-        latency_max_us: sum.max().unwrap_or(0.0),
-        proxy_cpu: tier_cpu(&proxies),
-        web_cpu: tier_cpu(&webs),
-        tail_drops: fabric.tail_drops(),
-        route_blackholes: fabric.blackholes(),
-        shed: shared.shed.get(),
-        hedges: shared.hedges.get(),
-        proxy_occupancy,
-        sim_events: cluster.sim().events_executed(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scale_run_completes_with_clean_audits() {
-        let (result, violations) =
-            ioat_guard::with_audit(|| run(&ScaleConfig::quick_test(IoatConfig::disabled())));
-        let r = result.expect("run completes");
-        assert!(
-            violations.is_empty(),
-            "audits must be clean: {violations:?}"
-        );
-        assert!(r.completed > 0, "clients must complete transactions");
-        assert!(r.tps > 0.0);
-        assert!(r.latency_p50_us > 0);
-        assert!(r.latency_p99_us >= r.latency_p50_us);
-        assert!(r.latency_max_us >= r.latency_p99_us as f64 / 2.0);
-        assert!(r.proxy_cpu > 0.0 && r.proxy_cpu <= 1.0);
-        assert!(r.web_cpu > 0.0 && r.web_cpu <= 1.0);
-        assert!(r.sim_events > 0);
-    }
-
-    #[test]
-    fn scale_runs_are_deterministic() {
-        let cfg = ScaleConfig::quick_test(IoatConfig::full());
-        let a = run(&cfg);
-        let b = run(&cfg);
-        assert_eq!(a, b, "same seed must reproduce bit-identical results");
-    }
-
-    #[test]
-    fn ioat_reduces_server_cpu_per_transaction() {
-        let mut cfg = ScaleConfig::quick_test(IoatConfig::disabled());
-        cfg.clients = 96;
-        let non = run(&cfg);
-        cfg.ioat = IoatConfig::full();
-        let ioat = run(&cfg);
-        let non_per = (non.proxy_cpu + non.web_cpu) / non.tps;
-        let ioat_per = (ioat.proxy_cpu + ioat.web_cpu) / ioat.tps;
-        assert!(
-            ioat_per < non_per,
-            "I/OAT {ioat_per:.3e} vs non {non_per:.3e} CPU/txn"
-        );
-    }
-
-    #[test]
-    fn fabric_faults_degrade_and_the_run_recovers() {
-        let mut cfg = ScaleConfig::quick_test(IoatConfig::disabled());
-        cfg.faults = FabricFaultSpec {
-            flaps_per_link: 4,
-            crashed_switches: 2,
-            ..FabricFaultSpec::none()
-        };
-        let (result, violations) = ioat_guard::with_audit(|| run(&cfg));
-        let r = result.expect("faulted run completes");
-        assert!(
-            violations.is_empty(),
-            "audits must stay clean under faults: {violations:?}"
-        );
-        assert!(
-            r.route_blackholes > 0,
-            "flaps + crashed switches must blackhole some frames"
-        );
-        assert!(
-            r.completed > 0,
-            "transactions must keep completing through failover"
-        );
-    }
-
-    #[test]
-    fn faulted_runs_are_deterministic() {
-        let mut cfg = ScaleConfig::quick_test(IoatConfig::full());
-        cfg.faults = FabricFaultSpec {
-            flaps_per_link: 2,
-            crashed_switches: 1,
-            ..FabricFaultSpec::none()
-        };
-        cfg.admit_budget = Some(2);
-        cfg.hedge = Some(RetryPolicy {
-            timeout: SimDuration::from_millis(5),
-            ..RetryPolicy::default()
-        });
-        let a = run(&cfg);
-        let b = run(&cfg);
-        assert_eq!(a, b, "same faulted config must reproduce bit-identically");
-    }
-
-    #[test]
-    fn more_flaps_blackhole_at_least_as_many_frames() {
-        // The flap model draws each link's windows sequentially from one
-        // dedicated stream, so n flaps' schedule is a prefix of n+1's —
-        // degradation is structurally monotone in the flap rate.
-        let mut prev = 0;
-        for flaps in [0u32, 3, 9] {
-            let mut cfg = ScaleConfig::quick_test(IoatConfig::disabled());
-            cfg.faults = FabricFaultSpec {
-                flaps_per_link: flaps,
-                ..FabricFaultSpec::none()
-            };
-            let r = run(&cfg);
-            assert!(
-                r.route_blackholes >= prev,
-                "blackholes must not decrease with flap rate \
-                 ({flaps} flaps: {} < {prev})",
-                r.route_blackholes
-            );
-            prev = r.route_blackholes;
-        }
-        assert!(prev > 0, "the densest flap schedule must blackhole frames");
-    }
-
-    #[test]
-    fn tiny_admission_budget_sheds_and_caps_in_flight_work() {
-        let mut cfg = ScaleConfig::quick_test(IoatConfig::disabled());
-        let open = run(&cfg);
-        cfg.admit_budget = Some(1);
-        let (result, violations) = ioat_guard::with_audit(|| run(&cfg));
-        let capped = result.expect("capped run completes");
-        assert!(
-            violations.is_empty(),
-            "audits must stay clean under shedding: {violations:?}"
-        );
-        assert!(capped.shed > 0, "a budget of 1 must shed requests");
-        assert!(
-            capped.completed > 0,
-            "admitted requests must still complete"
-        );
-        assert!(
-            capped.completed < open.completed,
-            "shedding must cost throughput ({} vs {})",
-            capped.completed,
-            open.completed
-        );
-        assert_eq!(open.shed, 0, "no budget, nothing shed");
-    }
-
-    #[test]
-    fn hedged_retries_fire_during_an_outage_and_stale_wins_are_discarded() {
-        let mut cfg = ScaleConfig::quick_test(IoatConfig::disabled());
-        cfg.faults = FabricFaultSpec {
-            crashed_switches: 2,
-            ..FabricFaultSpec::none()
-        };
-        cfg.hedge = Some(RetryPolicy {
-            timeout: SimDuration::from_millis(4),
-            max_retries: 2,
-            backoff: 2.0,
-        });
-        let (result, violations) = ioat_guard::with_audit(|| run(&cfg));
-        let r = result.expect("hedged run completes");
-        assert!(
-            violations.is_empty(),
-            "audits must stay clean under hedging: {violations:?}"
-        );
-        assert!(
-            r.hedges > 0,
-            "outage-lengthened requests must trip the hedge deadline"
-        );
-        assert!(r.completed > 0, "hedged transactions must complete");
-    }
 }

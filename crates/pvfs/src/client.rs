@@ -41,7 +41,7 @@ pub struct ClientParams {
     /// CPU performs the kernel→user copy (no DMA engine): the copy plus
     /// the cache pollution it leaves in the process's working set. For
     /// reads this applies to every data piece; for writes only to the
-    /// small ack. Single-threaded model only.
+    /// small ack.
     pub rx_copy_ps_per_byte: u64,
     /// Residual per-byte cost when the I/OAT DMA engine performs the
     /// copy (descriptor posting + completion reaping).
@@ -75,9 +75,9 @@ impl ClientParams {
         }
     }
 
-    /// Single-threaded-model cost to consume a reply whose wire payload
-    /// was `rx_bytes` for a piece of `len` bytes: piece bookkeeping plus
-    /// the process-context copy of what actually arrived.
+    /// Cost to consume a reply whose wire payload was `rx_bytes` for a
+    /// piece of `len` bytes: piece bookkeeping plus the process-context
+    /// copy of what actually arrived.
     pub fn consume_cost(&self, len: u64, rx_bytes: u64, rx_ps_per_byte: u64) -> SimDuration {
         self.piece_cost(len) + SimDuration::from_nanos(rx_bytes * rx_ps_per_byte / 1000)
     }
@@ -124,7 +124,7 @@ struct State {
     stats: ClientFaultStats,
     /// Ops whose reply arrived in time (lifecycle audit bookkeeping).
     completed_ops: u64,
-    /// Rx-copy cost of the single-threaded process model, ps per byte.
+    /// Process-context rx-copy cost, ps per byte.
     rx_ps: u64,
 }
 
@@ -132,13 +132,11 @@ struct State {
 pub struct ClientProcess {
     state: Rc<RefCell<State>>,
     senders: Rc<RefCell<Vec<MsgSender<IodRequest>>>>,
-    socket_for_compute: Socket,
-    /// Single-threaded process model: when set, reply processing runs
-    /// through this serial thread with the rx-copy term at `rx_ps`. Kept
-    /// out of `State` on purpose: jobs waiting in the thread's queue
-    /// capture `State`, so `State` owning the thread would be a cycle
-    /// that outlives the run.
-    proc: Rc<RefCell<Option<ProcessCpu>>>,
+    /// The process's serial thread: reply processing runs through it with
+    /// the rx-copy term at `rx_ps`. Kept out of `State` on purpose: jobs
+    /// waiting in the thread's queue capture `State`, so `State` owning
+    /// the thread would be a cycle that outlives the run.
+    proc: ProcessCpu,
 }
 
 impl std::fmt::Debug for ClientProcess {
@@ -154,8 +152,11 @@ impl std::fmt::Debug for ClientProcess {
 impl ClientProcess {
     /// Creates a client that will cycle over `[0, region)` of a file with
     /// the given layout. `done` accumulates completed bytes.
-    /// `socket_for_compute` is any of the client's sockets (used to charge
-    /// processing to the client node).
+    /// `socket_for_compute` is any of the client's sockets: the process's
+    /// serial thread charges its CPU to that socket's node. Each reply is
+    /// charged the process-context rx copy of its wire payload at
+    /// `rx_ps_per_byte` picoseconds per byte (pick it with
+    /// [`ClientParams::rx_ps_per_byte`]).
     pub fn new(
         layout: Layout,
         region: u64,
@@ -163,6 +164,7 @@ impl ClientProcess {
         params: ClientParams,
         done: Rc<RefCell<Counter>>,
         socket_for_compute: Socket,
+        rx_ps_per_byte: u64,
     ) -> Self {
         assert!(params.pipeline > 0, "pipeline must be at least 1");
         let pieces = layout.pieces(0, region);
@@ -182,11 +184,10 @@ impl ClientProcess {
                 retry: RetryPolicy::default(),
                 stats: ClientFaultStats::default(),
                 completed_ops: 0,
-                rx_ps: 0,
+                rx_ps: rx_ps_per_byte,
             })),
             senders: Rc::new(RefCell::new(Vec::new())),
-            socket_for_compute,
-            proc: Rc::new(RefCell::new(None)),
+            proc: ProcessCpu::new(socket_for_compute),
         }
     }
 
@@ -197,17 +198,6 @@ impl ClientProcess {
         let mut st = self.state.borrow_mut();
         st.faults = faults;
         st.retry = retry;
-    }
-
-    /// Switches the client to the single-threaded process model: reply
-    /// processing serializes on `proc` and each reply is charged the
-    /// process-context rx copy of its wire payload at `rx_ps_per_byte`
-    /// picoseconds per byte. Without this call the client keeps the
-    /// legacy behavior (each reply computes on the least-loaded core,
-    /// no rx-copy term).
-    pub fn set_process_cpu(&self, proc: ProcessCpu, rx_ps_per_byte: u64) {
-        *self.proc.borrow_mut() = Some(proc);
-        self.state.borrow_mut().rx_ps = rx_ps_per_byte;
     }
 
     /// Fault/recovery counters accumulated so far.
@@ -295,7 +285,7 @@ impl ClientProcess {
     }
 
     /// The reply handler for one server connection; pass to
-    /// [`crate::iod::serve`]. Replies are matched to outstanding ops by
+    /// [`crate::iod::serve_shared`]. Replies are matched to outstanding ops by
     /// the echoed op id (not arrival order), so the same handler works
     /// under retries and failover. `conn_sock` is the client endpoint of
     /// that connection — the handler re-posts its read after processing,
@@ -304,10 +294,8 @@ impl ClientProcess {
     pub fn reply_handler(&self, conn_sock: Socket) -> impl FnMut(&mut Sim, IodReply) + 'static {
         let state = Rc::clone(&self.state);
         let senders = Rc::clone(&self.senders);
-        let sock = self.socket_for_compute.clone();
-        let proc_slot = Rc::clone(&self.proc);
+        let proc = self.proc.clone();
         move |sim, reply| {
-            let proc = proc_slot.borrow().clone();
             let cost = {
                 let mut st = state.borrow_mut();
                 let Some(opst) = st.ops.remove(&reply.op()) else {
@@ -323,19 +311,13 @@ impl ClientProcess {
                 st.outstanding -= 1;
                 st.completed_ops += 1;
                 st.done.borrow_mut().add_at(sim.now(), len);
-                match proc {
-                    // Single-threaded model: charge the rx copy of what
-                    // came over the wire — the data piece for reads, the
-                    // 64-byte ack for writes.
-                    Some(_) => {
-                        let rx_bytes = match reply {
-                            IodReply::Data { len, .. } => len,
-                            IodReply::Ack { .. } => WRITE_ACK_BYTES,
-                        };
-                        st.params.consume_cost(len, rx_bytes, st.rx_ps)
-                    }
-                    None => st.params.piece_cost(len),
-                }
+                // Charge the rx copy of what came over the wire — the
+                // data piece for reads, the 64-byte ack for writes.
+                let rx_bytes = match reply {
+                    IodReply::Data { len, .. } => len,
+                    IodReply::Ack { .. } => WRITE_ACK_BYTES,
+                };
+                st.params.consume_cost(len, rx_bytes, st.rx_ps)
             };
             let state2 = Rc::clone(&state);
             let senders2 = Rc::clone(&senders);
@@ -344,10 +326,7 @@ impl ClientProcess {
                 conn2.post_recv(sim);
                 issue(&state2, &senders2, sim);
             };
-            match proc {
-                Some(p) => p.run(sim, cost, then),
-                None => sock.compute(sim, cost, then),
-            }
+            proc.run(sim, cost, then);
         }
     }
 
@@ -533,6 +512,7 @@ mod tests {
             params,
             done,
             sock,
+            params.rx_ps_per_byte(false),
         );
     }
 }

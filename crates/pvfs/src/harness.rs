@@ -61,15 +61,6 @@ pub struct PvfsConfig {
     /// Per-op deadline/retry/failover policy, consulted only when
     /// `faults` is active.
     pub retry: RetryPolicy,
-    /// Single-threaded process model (the corrected default): one serial
-    /// `iod` thread per I/O server shared by every client connection,
-    /// one serial thread per client process, one serial metadata
-    /// manager, with process-context rx-copy charged on the receiving
-    /// side. `false` restores the legacy per-connection model in which
-    /// every connection had its own daemon handler and all work spread
-    /// over the node's least-loaded cores — kept for differential
-    /// testing ([`PvfsConfig::legacy_threading`]).
-    pub single_threaded: bool,
     /// Per-port line rate (the paper's testbed: 1 GbE).
     pub link: ioat_simcore::time::Bandwidth,
     /// Hardware era both nodes are calibrated against.
@@ -91,7 +82,6 @@ impl PvfsConfig {
             window: ExperimentWindow::standard(),
             faults: FaultPlan::none(),
             retry: RetryPolicy::default(),
-            single_threaded: true,
             link: ioat_core::calibration::port_bandwidth(),
             profile: ioat_core::calibration::NodeProfile::Testbed2007,
         }
@@ -116,7 +106,6 @@ impl PvfsConfig {
             window: ExperimentWindow::quick(),
             faults: FaultPlan::none(),
             retry: RetryPolicy::default(),
-            single_threaded: true,
             link: ioat_core::calibration::port_bandwidth(),
             profile: ioat_core::calibration::NodeProfile::Testbed2007,
         }
@@ -131,15 +120,6 @@ impl PvfsConfig {
     ) -> Self {
         self.link = link;
         self.profile = profile;
-        self
-    }
-
-    /// Switches to the legacy per-connection threading model (the
-    /// pre-fix behavior whose throughput was wire-bound): no serial
-    /// process threads, no rx-copy terms. Differential tests pin this
-    /// path bit-for-bit against the recorded wire-bound rows.
-    pub fn legacy_threading(mut self) -> Self {
-        self.single_threaded = false;
         self
     }
 }
@@ -215,9 +195,12 @@ fn run_traced_modes(
     let layout = Layout::new(cfg.stripe, cfg.io_servers, 0);
     let region = cfg.region_per_server * cfg.io_servers as u64;
     let mut processes = Vec::new();
-    // Single-threaded model: one serial daemon thread per I/O server
-    // (shared by every client's connection to it) and one manager
-    // thread, created lazily from the first connection's server socket.
+    // Single-threaded process model: one serial daemon thread per I/O
+    // server (shared by every client's connection to it), one serial
+    // thread per client process and one manager thread, with
+    // process-context rx-copy charged on the receiving side. Daemon and
+    // manager threads are created from the first connection's server
+    // socket.
     let rx_iod = cfg.iod.rx_ps_per_byte(cfg.ioat.dma_engine);
     let rx_client = cfg.client.rx_ps_per_byte(cfg.ioat.dma_engine);
     let mut daemon_cpus: Vec<ProcessCpu> = Vec::new();
@@ -240,11 +223,9 @@ fn run_traced_modes(
             cfg.client,
             Rc::clone(&done),
             client_socks[0].clone(),
+            rx_client,
         ));
         process.set_faults(client_faults.clone(), cfg.retry);
-        if cfg.single_threaded {
-            process.set_process_cpu(ProcessCpu::new(client_socks[0].clone()), rx_client);
-        }
         processes.push(Rc::clone(&process));
         let lane = TrackId::new(IO_LANES_NODE, c as u32);
         tracer.set_track_name(lane, &format!("client{c}"));
@@ -259,30 +240,19 @@ fn run_traced_modes(
                 trc.instant("io_reply", Category::Io, lane, sim.now());
                 on_reply(sim, reply);
             };
-            let sender = if cfg.single_threaded {
-                if daemon_cpus.len() == s {
-                    daemon_cpus.push(ProcessCpu::new(server_socks[s].clone()));
-                }
-                iod::serve_shared(
-                    client_socks[s].clone(),
-                    server_socks[s].clone(),
-                    cfg.iod,
-                    daemon_cpus[s].clone(),
-                    rx_iod,
-                    server_faults.clone(),
-                    s as u32,
-                    on_reply,
-                )
-            } else {
-                iod::serve_with_faults(
-                    client_socks[s].clone(),
-                    server_socks[s].clone(),
-                    cfg.iod,
-                    server_faults.clone(),
-                    s as u32,
-                    on_reply,
-                )
-            };
+            if daemon_cpus.len() == s {
+                daemon_cpus.push(ProcessCpu::new(server_socks[s].clone()));
+            }
+            let sender = iod::serve_shared(
+                client_socks[s].clone(),
+                server_socks[s].clone(),
+                cfg.iod,
+                daemon_cpus[s].clone(),
+                rx_iod,
+                server_faults.clone(),
+                s as u32,
+                on_reply,
+            );
             process.add_server_sender(sender);
         }
 
@@ -304,14 +274,10 @@ fn run_traced_modes(
             drop(last);
             proc2.start(sim);
         };
-        let meta_sender = if cfg.single_threaded {
-            let cpu = manager_cpu
-                .get_or_insert_with(|| ProcessCpu::new(ms.clone()))
-                .clone();
-            meta::serve_meta_shared(mc, ms, cfg.meta, cpu, on_open)
-        } else {
-            meta::serve_meta(mc, ms, cfg.meta, on_open)
-        };
+        let cpu = manager_cpu
+            .get_or_insert_with(|| ProcessCpu::new(ms.clone()))
+            .clone();
+        let meta_sender = meta::serve_meta_shared(mc, ms, cfg.meta, cpu, on_open);
         cluster
             .sim_mut()
             .schedule(SimDuration::from_micros(10 * c as u64), move |sim| {
@@ -516,6 +482,23 @@ mod tests {
             "8 opens must queue behind the serial manager: {} vs {}",
             many.last_open_us,
             one.last_open_us
+        );
+    }
+
+    #[test]
+    fn ioat_out_runs_non_ioat_once_the_daemon_model_is_cpu_bound() {
+        // With the serial process threads and rx-copy terms, non-I/OAT
+        // client CPU saturates before the wire, so I/OAT opens a gap.
+        // This needs the full 6-port wire (723 MB/s): the compute-node
+        // CPU cap (~645 MB/s) sits between the 2-port and 6-port wire
+        // rates.
+        let non = concurrent_read(&PvfsConfig::quick_test(6, 6, IoatConfig::disabled()));
+        let ioat = concurrent_read(&PvfsConfig::quick_test(6, 6, IoatConfig::full()));
+        assert!(
+            ioat.mbytes_per_sec > non.mbytes_per_sec * 1.02,
+            "I/OAT should out-run non-I/OAT once the daemon model is CPU-bound ({} vs {})",
+            ioat.mbytes_per_sec,
+            non.mbytes_per_sec
         );
     }
 

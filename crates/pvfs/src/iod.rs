@@ -79,9 +79,7 @@ pub struct IodParams {
     /// Per-byte cost of a `ramfs` write (memory copy into the page
     /// cache).
     pub write_ps_per_byte: u64,
-    /// Fixed cost to acquire and recycle a staging buffer per request
-    /// (single-threaded daemon model only; the legacy per-connection
-    /// path ignores it).
+    /// Fixed cost to acquire and recycle a staging buffer per request.
     pub buffer_mgmt: SimDuration,
     /// Per-byte process-context cost to touch received payload when the
     /// CPU performs the kernel→user copy (no DMA engine): the copy
@@ -127,94 +125,22 @@ impl IodParams {
         }
     }
 
-    /// Single-threaded daemon CPU per read request: handling + buffer
-    /// management + `ramfs` read, plus the rx copy of the request header.
+    /// Daemon CPU per read request: handling + buffer management +
+    /// `ramfs` read, plus the rx copy of the request header.
     pub fn serve_read_cost(&self, len: u64, rx_ps_per_byte: u64) -> SimDuration {
         self.read_cost(len)
             + self.buffer_mgmt
             + SimDuration::from_nanos(READ_REQ_BYTES * rx_ps_per_byte / 1000)
     }
 
-    /// Single-threaded daemon CPU per write request: handling + buffer
-    /// management + `ramfs` commit, plus the rx copy of the payload
-    /// itself — the term the DMA engine offloads.
+    /// Daemon CPU per write request: handling + buffer management +
+    /// `ramfs` commit, plus the rx copy of the payload itself — the term
+    /// the DMA engine offloads.
     pub fn serve_write_cost(&self, len: u64, rx_ps_per_byte: u64) -> SimDuration {
         self.write_cost(len)
             + self.buffer_mgmt
             + SimDuration::from_nanos(len * rx_ps_per_byte / 1000)
     }
-}
-
-/// Installs an I/O daemon on the server endpoint of a connection and
-/// returns the client-side request sender; `on_reply` fires at the client
-/// for each data/ack message.
-pub fn serve<F>(
-    client_sock: Socket,
-    server_sock: Socket,
-    params: IodParams,
-    on_reply: F,
-) -> MsgSender<IodRequest>
-where
-    F: FnMut(&mut Sim, IodReply) + 'static,
-{
-    serve_with_faults(
-        client_sock,
-        server_sock,
-        params,
-        FaultInjector::inert(),
-        0,
-        on_reply,
-    )
-}
-
-/// [`serve`] under a fault injector: while the daemon's crash window
-/// (service id `service`) is open, incoming requests are dropped on the
-/// floor — the bytes were already delivered (message framing stays
-/// intact), only the handler goes dark. The client's deadline/failover
-/// machinery is responsible for recovery.
-///
-/// This is the legacy *per-connection* model: every connection gets an
-/// independent handler whose compute lands on the least-loaded core, so
-/// a "daemon" can effectively occupy every core of the node at once.
-/// The corrected single-threaded model is [`serve_shared`].
-pub fn serve_with_faults<F>(
-    client_sock: Socket,
-    server_sock: Socket,
-    params: IodParams,
-    faults: FaultInjector,
-    service: u32,
-    on_reply: F,
-) -> MsgSender<IodRequest>
-where
-    F: FnMut(&mut Sim, IodReply) + 'static,
-{
-    // Replies daemon → client.
-    let reply = Rc::new(msg::channel(
-        server_sock.clone(),
-        client_sock.clone(),
-        on_reply,
-    ));
-    // Requests client → daemon.
-    let server2 = server_sock.clone();
-    msg::channel(client_sock, server_sock, move |sim, req: IodRequest| {
-        if faults.service_down(service, sim.now()) {
-            faults.note_daemon_drop();
-            return;
-        }
-        let reply2 = Rc::clone(&reply);
-        match req {
-            IodRequest::Read { op, len } => {
-                server2.compute(sim, params.read_cost(len), move |sim| {
-                    reply2.send(sim, len, IodReply::Data { op, len });
-                });
-            }
-            IodRequest::Write { op, len } => {
-                server2.compute(sim, params.write_cost(len), move |sim| {
-                    reply2.send(sim, WRITE_ACK_BYTES, IodReply::Ack { op });
-                });
-            }
-        }
-    })
 }
 
 /// Attaches one connection of a *single-threaded* I/O daemon.
@@ -227,9 +153,13 @@ where
 /// rx-copy of received bytes at `rx_ps_per_byte` (pick it with
 /// [`IodParams::rx_ps_per_byte`] from the node's DMA-engine setting),
 /// request handling, buffer management, and the `ramfs` access.
+/// `on_reply` fires at the client for each data/ack message.
 ///
-/// Crash-window semantics match [`serve_with_faults`]: requests arriving
-/// while the daemon is dark are dropped before they reach its queue.
+/// While the daemon's crash window (service id `service`) is open,
+/// incoming requests are dropped before they reach its queue — the bytes
+/// were already delivered (message framing stays intact), only the
+/// handler goes dark. The client's deadline/failover machinery is
+/// responsible for recovery.
 #[allow(clippy::too_many_arguments)]
 pub fn serve_shared<F>(
     client_sock: Socket,
@@ -299,9 +229,17 @@ mod tests {
         );
         let replies = Rc::new(RefCell::new(Vec::new()));
         let r = Rc::clone(&replies);
-        let sender = serve(cs, ss, IodParams::default(), move |_sim, reply| {
-            r.borrow_mut().push(reply);
-        });
+        let params = IodParams::default();
+        let sender = serve_shared(
+            cs,
+            ss.clone(),
+            params,
+            ProcessCpu::new(ss),
+            params.rx_ps_per_byte(false),
+            FaultInjector::inert(),
+            0,
+            move |_sim, reply| r.borrow_mut().push(reply),
+        );
         sender.send(
             &mut sim,
             READ_REQ_BYTES,
@@ -341,7 +279,6 @@ mod tests {
 
     #[test]
     fn shared_daemon_serializes_requests_across_connections() {
-        use crate::process::ProcessCpu;
         let mut sim = ioat_simcore::Sim::new();
         let c = HostStack::new("cn", 4, StackParams::default(), IoatConfig::disabled());
         let s = HostStack::new("iod", 4, StackParams::default(), IoatConfig::disabled());

@@ -36,36 +36,12 @@ impl Default for MetaParams {
 /// Installs the manager daemon on the server endpoint of a metadata
 /// connection and returns the client-side request sender; `on_open`
 /// fires at the client when the reply arrives.
-pub fn serve_meta<F>(
-    client_sock: Socket,
-    manager_sock: Socket,
-    params: MetaParams,
-    on_open: F,
-) -> MsgSender<()>
-where
-    F: FnMut(&mut Sim, ()) + 'static,
-{
-    // Replies manager → client.
-    let reply = Rc::new(msg::channel(
-        manager_sock.clone(),
-        client_sock.clone(),
-        on_open,
-    ));
-    // Requests client → manager.
-    let manager2 = manager_sock.clone();
-    msg::channel(client_sock, manager_sock, move |sim: &mut Sim, _req: ()| {
-        let reply2 = Rc::clone(&reply);
-        manager2.compute(sim, params.open_cost, move |sim| {
-            reply2.send(sim, META_REPLY_BYTES, ());
-        });
-    })
-}
-
-/// [`serve_meta`] with the manager running as a single-threaded process:
-/// every connection to the manager passes the same [`ProcessCpu`], so
-/// concurrent opens from many clients queue behind one serial daemon —
-/// the §3.2 "manager daemon" is one process, and the
-/// metadata-contention scenario measures exactly that queue.
+///
+/// The manager runs as a single-threaded process: every connection to it
+/// passes the same [`ProcessCpu`], so concurrent opens from many clients
+/// queue behind one serial daemon — the §3.2 "manager daemon" is one
+/// process, and the metadata-contention scenario measures exactly that
+/// queue.
 pub fn serve_meta_shared<F>(
     client_sock: Socket,
     manager_sock: Socket,
@@ -116,7 +92,8 @@ mod tests {
         );
         let opened = Rc::new(RefCell::new(0u32));
         let o = Rc::clone(&opened);
-        let sender = serve_meta(cs, ss, MetaParams::default(), move |_sim, ()| {
+        let cpu = ProcessCpu::new(ss.clone());
+        let sender = serve_meta_shared(cs, ss, MetaParams::default(), cpu, move |_sim, ()| {
             *o.borrow_mut() += 1;
         });
         sender.send(&mut sim, META_REQ_BYTES, ());

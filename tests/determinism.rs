@@ -176,10 +176,6 @@ fn fault_failover_is_deterministic_in_the_single_threaded_model() {
     // bit-reproducible — the retry/deadline machinery now runs *under*
     // the process-CPU serialization, not beside it.
     let mut cfg = PvfsConfig::quick_test(2, 3, IoatConfig::full());
-    assert!(
-        cfg.single_threaded,
-        "quick_test must default to the corrected single-threaded model"
-    );
     cfg.faults.crashes.push(CrashWindow {
         service: 0,
         window: TimeWindow::new(
