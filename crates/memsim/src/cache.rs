@@ -17,6 +17,14 @@
 use crate::address::Buffer;
 
 /// Geometry of a simulated cache.
+///
+/// The set count (`capacity / (associativity × line_size)`) must be a
+/// power of two. A line number's low `set_bits = log2(sets)` bits are then
+/// its set, and the cache stores only the remaining bits, as a 32-bit
+/// set-relative tag. That bounds the simulated address space a cache can
+/// index to 2^(32 + set_bits + line_bits) bytes, `line_bits =
+/// log2(line_size)`: 2^50 for the paper L2, 2^53 for the 32 MB / 16-way
+/// modern LLC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheConfig {
@@ -52,6 +60,11 @@ impl CacheConfig {
             "capacity must be a whole number of sets"
         );
         assert!(self.sets() > 0, "cache must have at least one set");
+        assert!(
+            self.sets().is_power_of_two(),
+            "set count must be a power of two, got {}",
+            self.sets()
+        );
     }
 }
 
@@ -118,21 +131,21 @@ impl RangeOutcome {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// Resident line tags, `associativity` slots per set, most recently
-    /// used last within each set's occupied prefix. One contiguous
-    /// allocation (sets × ways): the per-line lookup loop walks at most
-    /// `associativity` adjacent words — no per-set pointer chase.
-    tags: Box<[u64]>,
+    /// Resident lines' set-relative tags (`line >> set_bits`; the set
+    /// index holds the low bits), `associativity` slots per set, most
+    /// recently used last within each set's occupied prefix. One
+    /// contiguous allocation (sets × ways): the per-line lookup loop walks
+    /// at most `associativity` adjacent words — no per-set pointer chase.
+    /// At 4 B a slot, the paper L2's tags are 128 KiB per host.
+    tags: Box<[u32]>,
     /// Occupied ways per set.
     lens: Box<[u8]>,
     stats: CacheStats,
     line_shift: u32,
-    /// Cached set count: `config.sets()` divides twice, and the mapping
-    /// runs once per line touched — the innermost loop of every copy.
-    num_sets: u64,
-    /// `num_sets - 1` when the set count is a power of two (the paper L2
-    /// and every realistic geometry), letting the mapping be a mask
-    /// instead of a hardware divide; `0` otherwise.
+    /// log2 of the set count, which `CacheConfig::validate` requires to
+    /// be a power of two.
+    set_bits: u32,
+    /// `sets - 1`: the set of a line is `line & set_mask`.
     set_mask: u64,
 }
 
@@ -142,23 +155,21 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if the geometry is inconsistent (non-power-of-two line size,
-    /// capacity not a whole number of sets, ...).
+    /// capacity not a whole number of sets, set count not a power of
+    /// two, ...). The access methods panic on an address at or above
+    /// 2^(32 + set_bits + line_bits) bytes, whose tag does not fit the
+    /// 32-bit tag store (see [`CacheConfig`]).
     pub fn new(config: CacheConfig) -> Self {
         config.validate();
-        let sets = config.sets() as usize;
-        let num_sets = config.sets();
+        let sets = config.sets();
         Cache {
             config,
-            tags: vec![0u64; sets * config.associativity as usize].into_boxed_slice(),
-            lens: vec![0u8; sets].into_boxed_slice(),
+            tags: vec![0u32; sets as usize * config.associativity as usize].into_boxed_slice(),
+            lens: vec![0u8; sets as usize].into_boxed_slice(),
             stats: CacheStats::default(),
             line_shift: config.line_size.trailing_zeros(),
-            num_sets,
-            set_mask: if num_sets.is_power_of_two() {
-                num_sets - 1
-            } else {
-                0
-            },
+            set_bits: sets.trailing_zeros(),
+            set_mask: sets - 1,
         }
     }
 
@@ -177,29 +188,41 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    fn line_of(&self, addr: u64) -> u64 {
-        addr >> self.line_shift
+    /// First and last line numbers of a non-empty `buf`, checked once for
+    /// the whole range: every line in between then has a tag that fits.
+    fn line_range(&self, buf: Buffer) -> (u64, u64) {
+        let first = buf.addr() >> self.line_shift;
+        let last = (buf.addr() + buf.len() - 1) >> self.line_shift;
+        self.check_tag(last);
+        (first, last)
     }
 
+    fn check_tag(&self, line: u64) {
+        assert!(
+            line >> self.set_bits <= u64::from(u32::MAX),
+            "tag range: line {line:#x} is beyond this cache's 2^{}-byte address space",
+            32 + self.set_bits + self.line_shift
+        );
+    }
+
+    /// Set index and set-relative tag of a line already checked by
+    /// `check_tag`.
     #[inline]
-    fn set_of(&self, line: u64) -> usize {
-        if self.set_mask != 0 {
-            (line & self.set_mask) as usize
-        } else {
-            (line % self.num_sets) as usize
-        }
+    fn split(&self, line: u64) -> (usize, u32) {
+        (
+            (line & self.set_mask) as usize,
+            (line >> self.set_bits) as u32,
+        )
     }
 
-    /// Accesses one line by address, allocating on miss (write-allocate /
-    /// read-allocate — the model does not distinguish).
-    pub fn access_line(&mut self, addr: u64) -> AccessOutcome {
-        let line = self.line_of(addr);
-        let set_idx = self.set_of(line);
+    /// The per-line body of `access_line` and `access_range`.
+    #[inline]
+    fn touch(&mut self, set_idx: usize, tag: u32) -> AccessOutcome {
         let ways = self.config.associativity as usize;
         let base = set_idx * ways;
         let len = self.lens[set_idx] as usize;
         let set = &mut self.tags[base..base + len];
-        if let Some(pos) = set.iter().position(|&t| t == line) {
+        if let Some(pos) = set.iter().position(|&t| t == tag) {
             // Move to MRU position (end of the occupied prefix).
             set[pos..].rotate_left(1);
             self.stats.hits += 1;
@@ -207,25 +230,40 @@ impl Cache {
         } else if len == ways {
             // Evict LRU (front), insert at MRU (back).
             set.rotate_left(1);
-            set[ways - 1] = line;
+            set[ways - 1] = tag;
             self.stats.evictions += 1;
             self.stats.misses += 1;
             AccessOutcome::Miss
         } else {
-            self.tags[base + len] = line;
+            self.tags[base + len] = tag;
             self.lens[set_idx] = (len + 1) as u8;
             self.stats.misses += 1;
             AccessOutcome::Miss
         }
     }
 
-    /// Checks residency without updating LRU order or statistics.
-    pub fn probe_line(&self, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        let set_idx = self.set_of(line);
+    #[inline]
+    fn holds(&self, set_idx: usize, tag: u32) -> bool {
         let base = set_idx * self.config.associativity as usize;
         let len = self.lens[set_idx] as usize;
-        self.tags[base..base + len].contains(&line)
+        self.tags[base..base + len].contains(&tag)
+    }
+
+    /// Accesses one line by address, allocating on miss (write-allocate /
+    /// read-allocate — the model does not distinguish).
+    pub fn access_line(&mut self, addr: u64) -> AccessOutcome {
+        let line = addr >> self.line_shift;
+        self.check_tag(line);
+        let (set_idx, tag) = self.split(line);
+        self.touch(set_idx, tag)
+    }
+
+    /// Checks residency without updating LRU order or statistics.
+    pub fn probe_line(&self, addr: u64) -> bool {
+        let line = addr >> self.line_shift;
+        self.check_tag(line);
+        let (set_idx, tag) = self.split(line);
+        self.holds(set_idx, tag)
     }
 
     /// Accesses every line in `buf`, returning hit/miss counts.
@@ -234,10 +272,10 @@ impl Cache {
         if buf.is_empty() {
             return out;
         }
-        let first = buf.addr() >> self.line_shift;
-        let last = (buf.addr() + buf.len() - 1) >> self.line_shift;
+        let (first, last) = self.line_range(buf);
         for line in first..=last {
-            match self.access_line(line << self.line_shift) {
+            let (set_idx, tag) = self.split(line);
+            match self.touch(set_idx, tag) {
                 AccessOutcome::Hit => out.hit_lines += 1,
                 AccessOutcome::Miss => out.miss_lines += 1,
             }
@@ -250,10 +288,12 @@ impl Cache {
         if buf.is_empty() {
             return 0;
         }
-        let first = buf.addr() >> self.line_shift;
-        let last = (buf.addr() + buf.len() - 1) >> self.line_shift;
+        let (first, last) = self.line_range(buf);
         (first..=last)
-            .filter(|&l| self.probe_line(l << self.line_shift))
+            .filter(|&line| {
+                let (set_idx, tag) = self.split(line);
+                self.holds(set_idx, tag)
+            })
             .count() as u64
     }
 
@@ -265,15 +305,14 @@ impl Cache {
         if buf.is_empty() {
             return;
         }
-        let first = buf.addr() >> self.line_shift;
-        let last = (buf.addr() + buf.len() - 1) >> self.line_shift;
+        let (first, last) = self.line_range(buf);
+        let ways = self.config.associativity as usize;
         for line in first..=last {
-            let set_idx = self.set_of(line);
-            let ways = self.config.associativity as usize;
+            let (set_idx, tag) = self.split(line);
             let base = set_idx * ways;
             let len = self.lens[set_idx] as usize;
             let set = &mut self.tags[base..base + len];
-            if let Some(pos) = set.iter().position(|&t| t == line) {
+            if let Some(pos) = set.iter().position(|&t| t == tag) {
                 // Close the gap, preserving LRU order of the survivors.
                 set[pos..].rotate_left(1);
                 self.lens[set_idx] = (len - 1) as u8;
@@ -426,5 +465,174 @@ mod tests {
         c.access_line(d);
         assert!(!c.probe_line(a));
         assert!(c.probe_line(b));
+    }
+
+    #[test]
+    #[should_panic(expected = "set count")]
+    fn non_power_of_two_set_count_panics() {
+        // 384 B / (2 ways × 64 B) = 3 sets.
+        Cache::new(CacheConfig {
+            capacity: 384,
+            associativity: 2,
+            line_size: 64,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "tag range")]
+    fn address_beyond_tag_range_panics() {
+        // Line 2^54 in a 4096-set cache has tag 2^42.
+        let mut c = Cache::new(CacheConfig::paper_l2());
+        c.access_range(Buffer::new(1 << 60, 64));
+    }
+
+    #[test]
+    fn paper_l2_tags_are_128_kib() {
+        let c = Cache::new(CacheConfig::paper_l2());
+        assert_eq!(std::mem::size_of_val(&*c.tags), 4096 * 8 * 4);
+    }
+
+    /// Reference model: one `Vec` of full line numbers per set, LRU first.
+    struct RefLru {
+        sets: Vec<Vec<u64>>,
+        ways: usize,
+        line_shift: u32,
+        stats: CacheStats,
+    }
+
+    impl RefLru {
+        fn new(cfg: CacheConfig) -> Self {
+            RefLru {
+                sets: vec![Vec::new(); cfg.sets() as usize],
+                ways: cfg.associativity as usize,
+                line_shift: cfg.line_size.trailing_zeros(),
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set(&mut self, line: u64) -> &mut Vec<u64> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[(line % n) as usize]
+        }
+
+        fn lines(&self, buf: Buffer) -> std::ops::Range<u64> {
+            if buf.is_empty() {
+                return 0..0;
+            }
+            (buf.addr() >> self.line_shift)..((buf.addr() + buf.len() - 1) >> self.line_shift) + 1
+        }
+
+        fn access(&mut self, line: u64) -> AccessOutcome {
+            let ways = self.ways;
+            let set = self.set(line);
+            if let Some(pos) = set.iter().position(|&l| l == line) {
+                set.remove(pos);
+                set.push(line);
+                self.stats.hits += 1;
+                return AccessOutcome::Hit;
+            }
+            let evict = set.len() == ways;
+            if evict {
+                set.remove(0);
+            }
+            set.push(line);
+            self.stats.evictions += evict as u64;
+            self.stats.misses += 1;
+            AccessOutcome::Miss
+        }
+
+        fn probe(&mut self, line: u64) -> bool {
+            self.set(line).contains(&line)
+        }
+
+        fn invalidate(&mut self, line: u64) {
+            let set = self.set(line);
+            if let Some(pos) = set.iter().position(|&l| l == line) {
+                set.remove(pos);
+                self.stats.invalidations += 1;
+            }
+        }
+    }
+
+    /// Replays `ops` random operations against `cfg` and the reference
+    /// LRU. Lines are drawn from a few sets crossed with a pool of tags
+    /// that differ only in high bits (up to `u32::MAX`), so any tag
+    /// truncation that aliases two lines shows up as a wrong outcome.
+    fn differential(cfg: CacheConfig, seed: u64, ops: usize) {
+        let mut rng = ioat_simcore::SimRng::seed_from(seed);
+        let mut cache = Cache::new(cfg);
+        let mut model = RefLru::new(cfg);
+        let sets = cfg.sets();
+        let set_bits = sets.trailing_zeros();
+        let line_size = cfg.line_size;
+        let max_line = ((u64::from(u32::MAX) + 1) << set_bits) - 1;
+        let hi = 1u32 << (32 - set_bits).min(31);
+        let mut tags = vec![u32::MAX, u32::MAX - 1, u32::MAX ^ hi, 1 << 31];
+        for base in [0u32, 1, 2, 3, 5] {
+            tags.extend([base, base | hi, base | (1 << 31), base | hi | (1 << 31)]);
+        }
+        let set_pool = [0, 1, sets / 2, sets - 1];
+        let pick_line = |rng: &mut ioat_simcore::SimRng| {
+            let tag = if rng.chance(0.1) {
+                rng.next_u64() as u32
+            } else {
+                tags[rng.range(0, tags.len() as u64) as usize]
+            };
+            let set = if rng.chance(0.1) {
+                rng.range(0, sets)
+            } else {
+                set_pool[rng.range(0, set_pool.len() as u64) as usize]
+            };
+            (u64::from(tag) << set_bits) | set
+        };
+        for op in 0..ops {
+            let line = pick_line(&mut rng);
+            let addr = (line * line_size) | rng.range(0, line_size);
+            // Ranges of up to four lines, clipped at the top of the
+            // address space the tags can cover.
+            let span = rng.range(0, 4 * line_size);
+            let len = span.min((max_line + 1) * line_size - addr);
+            let buf = Buffer::new(addr, len);
+            match rng.range(0, 5) {
+                0 => assert_eq!(cache.access_line(addr), model.access(line), "op {op}"),
+                1 => {
+                    let mut want = RangeOutcome::default();
+                    for l in model.lines(buf) {
+                        match model.access(l) {
+                            AccessOutcome::Hit => want.hit_lines += 1,
+                            AccessOutcome::Miss => want.miss_lines += 1,
+                        }
+                    }
+                    assert_eq!(cache.access_range(buf), want, "op {op}");
+                }
+                2 => assert_eq!(cache.probe_line(addr), model.probe(line), "op {op}"),
+                3 => {
+                    let want = model.lines(buf).filter(|&l| model.probe(l)).count() as u64;
+                    assert_eq!(cache.resident_lines(buf), want, "op {op}");
+                }
+                _ => {
+                    for l in model.lines(buf) {
+                        model.invalidate(l);
+                    }
+                    cache.invalidate_range(buf);
+                }
+            }
+        }
+        assert_eq!(cache.stats(), model.stats);
+        let resident: usize = model.sets.iter().map(Vec::len).sum();
+        assert_eq!(cache.resident_line_count(), resident as u64);
+        assert!(model.stats.evictions > 0 && model.stats.invalidations > 0);
+    }
+
+    #[test]
+    fn matches_reference_lru_on_tiny_paper_and_modern_geometries() {
+        differential(tiny().config(), 1, 20_000);
+        differential(CacheConfig::paper_l2(), 2, 20_000);
+        let modern = CacheConfig {
+            capacity: 32 * 1024 * 1024,
+            associativity: 16,
+            line_size: 64,
+        };
+        differential(modern, 3, 20_000);
     }
 }
