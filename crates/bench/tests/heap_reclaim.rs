@@ -1,4 +1,5 @@
-//! Every simulation entrypoint returns the heap it allocated.
+//! Every simulation entrypoint returns the heap it allocated, and no
+//! simulated resource grows its heap with the length of a run.
 //!
 //! A call builds a whole simulated cluster (host stacks with their L2 tag
 //! arrays, sockets, framed channels, a fabric) out of `Rc` handles that
@@ -6,7 +7,9 @@
 //! the call, each call leaks its cluster and a sweep's memory grows with
 //! its point count. This binary counts every byte through its own global
 //! allocator and checks that the live heap after each call is back to
-//! where it was before it.
+//! where it was before it. It also checks that metering a resource's busy
+//! time keeps no per-job history: a core that runs many separated jobs
+//! holds the same heap as one that ran none.
 //!
 //! It holds exactly one `#[test]` on purpose: a second test running on
 //! another thread would allocate alongside the measured call and blur the
@@ -16,6 +19,7 @@ use ioat_core::microbench::{bandwidth, bidirectional, splitup};
 use ioat_datacenter::{emulated, run_partitioned, tiers, DataCenterConfig, ScaleConfig};
 use ioat_netsim::IoatConfig;
 use ioat_pvfs::{concurrent_read, concurrent_write, PvfsConfig};
+use ioat_simcore::{Resource, Sim, SimDuration};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -77,8 +81,33 @@ fn retained(call: impl FnOnce()) -> isize {
     LIVE.load(Relaxed) as isize - before as isize
 }
 
+/// Live heap bytes that metering `jobs` jobs, each after an idle gap so
+/// no two merge, adds to one resource.
+fn metering_growth(jobs: u64) -> isize {
+    let mut sim = Sim::new();
+    let mut core = Resource::new("core");
+    let before = LIVE.load(Relaxed);
+    for _ in 0..jobs {
+        sim.run_until(sim.now() + SimDuration::from_nanos(10));
+        core.consume(&mut sim, SimDuration::from_nanos(5));
+    }
+    let grown = LIVE.load(Relaxed) as isize - before as isize;
+    assert_eq!(
+        core.meter().total_busy(),
+        SimDuration::from_nanos(5 * jobs),
+        "every job was metered"
+    );
+    grown
+}
+
 #[test]
 fn every_entrypoint_returns_its_heap() {
+    let grown = metering_growth(100_000);
+    assert_eq!(
+        grown, 0,
+        "metering 100 000 separated jobs grew the heap by {grown} B"
+    );
+
     type Entry = (String, Box<dyn Fn()>);
     let mut entries: Vec<Entry> = Vec::new();
     for (tag, ioat) in [

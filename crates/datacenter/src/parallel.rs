@@ -41,7 +41,11 @@
 //! * latencies stream into a fixed-bucket log-scale [`Histogram`] and a
 //!   Welford [`Summary`] (online mean/max) per group, merged afterwards,
 //!   never a per-request `Vec`;
-//! * throughput is a windowed [`Counter`].
+//! * throughput is a windowed [`Counter`];
+//! * the document catalog and its Zipf CDF are built once per call and
+//!   shared by every group; each group forks only its own draw stream;
+//! * each core's utilization meter keeps O(1) state however long the run
+//!   (see [`ioat_simcore::UtilizationMeter`]).
 
 use crate::costs::{DataCenterCosts, REQUEST_WIRE_BYTES};
 use crate::msg::{self, MsgSender};
@@ -339,7 +343,13 @@ struct GroupPart {
     to: SimTime,
 }
 
-fn build_group_part(cfg: &ScaleConfig, lay: Layout, g: usize, out: Outbox<NetMsg>) -> GroupPart {
+fn build_group_part(
+    cfg: &ScaleConfig,
+    lay: Layout,
+    g: usize,
+    zipf: &ZipfTrace,
+    out: Outbox<NetMsg>,
+) -> GroupPart {
     let topo = Topology::new(cfg.spec);
     let mut cluster = Cluster::new(cfg.seed);
     let router = Rc::new(GroupRouter {
@@ -387,16 +397,9 @@ fn build_group_part(cfg: &ScaleConfig, lay: Layout, g: usize, out: Outbox<NetMsg
         })
         .collect();
 
-    // This group's slice of the client slab, with per-group Zipf draws.
-    // The catalog (document → size) is rebuilt identically in every
-    // group from the same seed; only the draw stream is per-group.
-    let mut crng = SimRng::seed_from(cfg.seed);
-    let catalog = FileCatalog::web_content(cfg.catalog_files, 8 * 1024, &mut crng);
-    let trace = ZipfTrace::new(
-        catalog,
-        cfg.alpha,
-        SimRng::stream(cfg.seed, 0x5EED + g as u64),
-    );
+    // This group's slice of the client slab, with per-group Zipf draws
+    // over the call's one shared catalog.
+    let trace = zipf.fork(SimRng::stream(cfg.seed, 0x5EED + g as u64));
     let slots: Vec<u32> = (0..cfg.clients as u32)
         .filter(|&s| (s as usize % lay.n_proxies) % lay.groups == g)
         .collect();
@@ -687,6 +690,14 @@ pub fn run_partitioned(cfg: &ScaleConfig, threads: usize) -> (ScaleResult, Parsi
     let cfg = *cfg;
     let horizon = cfg.window.to();
     let lookahead = cfg.fabric.switch_latency;
+    // One document catalog and Zipf CDF per call, shared by every group;
+    // each group forks its own draw stream from it.
+    let catalog = FileCatalog::web_content(
+        cfg.catalog_files,
+        8 * 1024,
+        &mut SimRng::seed_from(cfg.seed),
+    );
+    let zipf = &ZipfTrace::new(catalog, cfg.alpha, SimRng::stream(cfg.seed, 0x5EED));
 
     let builders: Vec<_> = (0..=lay.groups)
         .map(|_| {
@@ -694,7 +705,7 @@ pub fn run_partitioned(cfg: &ScaleConfig, threads: usize) -> (ScaleResult, Parsi
                 if idx == 0 {
                     DcPartition::Fabric(build_fabric_part(&cfg, lay, out))
                 } else {
-                    DcPartition::Group(Box::new(build_group_part(&cfg, lay, idx - 1, out)))
+                    DcPartition::Group(Box::new(build_group_part(&cfg, lay, idx - 1, zipf, out)))
                 }
             }
         })

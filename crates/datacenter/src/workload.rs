@@ -7,6 +7,7 @@
 //! is proportional to `1/i^α` [Breslau et al.].
 
 use ioat_simcore::SimRng;
+use std::sync::Arc;
 
 /// One client request: which document, and how many bytes the response
 /// carries.
@@ -124,14 +125,16 @@ impl Trace for SingleFileTrace {
 /// Zipf(α) sampler over a catalog: `P(rank i) ∝ 1/i^α`.
 ///
 /// Uses a precomputed CDF and binary search, so sampling is O(log n).
-/// The catalog and CDF live behind `Rc`s so per-thread samplers (see
+/// The catalog and CDF live behind `Arc`s so per-thread samplers (see
 /// [`ZipfTrace::fork`]) share one table instead of each paying the
 /// O(n·powf) construction — with hundreds of closed-loop client threads
-/// the rebuild used to dominate whole-figure wall time.
+/// the rebuild used to dominate whole-figure wall time. The `Arc`s make
+/// the trace `Send`, so one table also serves every partition of a
+/// parallel fabric run; sampling never touches the reference counts.
 #[derive(Debug, Clone)]
 pub struct ZipfTrace {
-    catalog: std::rc::Rc<FileCatalog>,
-    cdf: std::rc::Rc<[f64]>,
+    catalog: Arc<FileCatalog>,
+    cdf: Arc<[f64]>,
     rng: SimRng,
     alpha: f64,
 }
@@ -162,7 +165,7 @@ impl ZipfTrace {
             *v /= total;
         }
         ZipfTrace {
-            catalog: std::rc::Rc::new(catalog),
+            catalog: Arc::new(catalog),
             cdf: cdf.into(),
             rng,
             alpha,
@@ -175,8 +178,8 @@ impl ZipfTrace {
     /// function of `(catalog.len(), alpha)` — it just skips the rebuild.
     pub fn fork(&self, rng: SimRng) -> Self {
         ZipfTrace {
-            catalog: std::rc::Rc::clone(&self.catalog),
-            cdf: std::rc::Rc::clone(&self.cdf),
+            catalog: Arc::clone(&self.catalog),
+            cdf: Arc::clone(&self.cdf),
             rng,
             alpha: self.alpha,
         }

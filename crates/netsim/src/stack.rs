@@ -475,9 +475,11 @@ impl HostStack {
         &self.tx_meter
     }
 
-    /// Starts the measurement window on all meters (utilization queries
-    /// take the window explicitly, so only byte meters need this).
+    /// Starts the measurement window on all meters: the byte meters and
+    /// the cores' utilization meters. The latter keep no history, so
+    /// [`Self::cpu_utilization`] answers only `[at, now)` and `[0, now)`.
     pub fn begin_measurement(&mut self, at: SimTime) {
+        self.cores.begin_window(at);
         self.rx_meter.begin_window(at);
         self.tx_meter.begin_window(at);
         for conn in self.conns.values_mut() {
@@ -486,7 +488,9 @@ impl HostStack {
     }
 
     /// Overall CPU utilization across the node's cores in `[from, to)` —
-    /// the paper's headline metric.
+    /// the paper's headline metric. `from` is zero or the instant passed
+    /// to [`Self::begin_measurement`]; `to` is zero, that instant, or the
+    /// present (see [`ioat_simcore::UtilizationMeter`]).
     pub fn cpu_utilization(&self, from: SimTime, to: SimTime) -> f64 {
         self.cores.utilization_between(from, to)
     }

@@ -3,9 +3,12 @@
 //! A [`Resource`] models anything that can do one thing at a time: a CPU
 //! core, a DMA channel, a link transmitter, a disk head. Work is submitted
 //! as `(duration, completion-action)` pairs; the resource executes jobs
-//! back-to-back in FIFO order and records its busy intervals so that
-//! experiments can compute utilization over an arbitrary measurement
-//! window — the paper's headline "CPU utilization" metric.
+//! back-to-back in FIFO order and meters its busy time so that
+//! experiments can compute utilization over the run or over one
+//! measurement window opened with [`Resource::begin_window`] — the
+//! paper's headline "CPU utilization" metric. The meter keeps O(1) state
+//! however long the run, so it answers only those two windows (see
+//! [`UtilizationMeter`]).
 
 use crate::engine::Sim;
 use crate::time::{SimDuration, SimTime};
@@ -18,17 +21,32 @@ use std::rc::Rc;
 /// simulation is single-threaded, so `Rc<RefCell<_>>` is the right tool.
 pub type ResourceRef = Rc<RefCell<Resource>>;
 
-/// Accumulates non-overlapping busy intervals and answers utilization
-/// queries over arbitrary windows.
+/// Accumulates non-overlapping busy intervals in O(1) memory and answers
+/// utilization queries over `[0, to)` and over one measurement window.
 ///
 /// Intervals must be reported in non-decreasing start order (which a FIFO
-/// resource guarantees); adjacent intervals are merged so a saturated
-/// resource costs O(1) memory.
+/// resource guarantees); adjacent intervals merge. The meter keeps only
+/// the latest merged interval `last`, the running busy total, and the
+/// busy time before the window start, marked by
+/// [`UtilizationMeter::begin_window`]. That is exact for a [`Resource`]:
+/// a job starts at `max(busy_until, now)`, so a job queued behind a busy
+/// resource merges into `last`, and `last` never starts after the present.
+/// For any `t >= last.start`, the busy time before `t` is
+/// `total_busy - max(0, last.end - t)`.
+///
+/// The query contract that follows: a window's `from` must be zero or the
+/// window start, and its `to` must be zero, the window start, or no
+/// earlier than the start of `last` — in practice, the present instant.
+/// Any other query panics: the meter keeps no history to answer it.
 #[derive(Debug, Clone, Default)]
 pub struct UtilizationMeter {
-    /// Closed-open busy intervals, sorted, non-overlapping, merged.
-    intervals: Vec<(SimTime, SimTime)>,
+    /// The latest merged busy interval `[start, end)`; every earlier
+    /// interval ended before `start`.
+    last: (SimTime, SimTime),
     total_busy: SimDuration,
+    /// The window start and the busy time before it; `(0, 0)` until
+    /// [`UtilizationMeter::begin_window`] moves it.
+    window: (SimTime, SimDuration),
 }
 
 impl UtilizationMeter {
@@ -41,28 +59,31 @@ impl UtilizationMeter {
     ///
     /// # Panics
     ///
-    /// Panics if `start > end` or if `start` precedes the end of the last
+    /// Panics if `start > end`, if `start` precedes the end of the last
     /// recorded interval (busy intervals on a serialized resource never
-    /// overlap).
+    /// overlap), or if it precedes the window start (a resource's jobs
+    /// never start in the past).
     pub fn record(&mut self, start: SimTime, end: SimTime) {
         assert!(start <= end, "busy interval ends before it starts");
         if start == end {
             return;
         }
-        if let Some(last) = self.intervals.last_mut() {
-            assert!(
-                start >= last.1,
-                "busy intervals must be reported in order: {start} < {}",
-                last.1
-            );
-            if start == last.1 {
-                last.1 = end;
-                self.total_busy += end - start;
-                return;
-            }
-        }
+        assert!(
+            start >= self.last.1,
+            "busy intervals must be reported in order: {start} < {}",
+            self.last.1
+        );
+        assert!(
+            start >= self.window.0,
+            "busy interval starts before the window: {start} < {}",
+            self.window.0
+        );
         self.total_busy += end - start;
-        self.intervals.push((start, end));
+        if start == self.last.1 {
+            self.last.1 = end;
+        } else {
+            self.last = (start, end);
+        }
     }
 
     /// Total busy time ever recorded.
@@ -70,28 +91,58 @@ impl UtilizationMeter {
         self.total_busy
     }
 
+    /// Opens the measurement window at `at`: later queries may start
+    /// there. A later call moves the window; there is only one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is nonzero and precedes the start of the latest
+    /// busy interval (the meter cannot split what it no longer holds).
+    pub fn begin_window(&mut self, at: SimTime) {
+        // Snapshot before storing: `busy_before` answers the old mark.
+        self.window = (at, self.busy_before(at));
+    }
+
+    /// Busy time recorded before `t`.
+    fn busy_before(&self, t: SimTime) -> SimDuration {
+        if t == SimTime::ZERO {
+            return SimDuration::ZERO;
+        }
+        if t == self.window.0 {
+            return self.window.1;
+        }
+        assert!(
+            t >= self.last.0,
+            "utilization meter keeps no history before {}: cannot split at {t}",
+            self.last.0
+        );
+        self.total_busy - self.last.1.saturating_duration_since(t)
+    }
+
     /// Busy time that falls inside `[from, to)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `to <= from` (an empty window), or `from` is zero or
+    /// the window start and `to` is zero, the window start, or no earlier
+    /// than the latest busy interval's start.
     pub fn busy_between(&self, from: SimTime, to: SimTime) -> SimDuration {
         if to <= from {
             return SimDuration::ZERO;
         }
-        // Binary search for the first interval that might intersect.
-        let idx = self.intervals.partition_point(|&(_, end)| end <= from);
-        let mut busy = SimDuration::ZERO;
-        for &(s, e) in &self.intervals[idx..] {
-            if s >= to {
-                break;
-            }
-            let lo = s.max(from);
-            let hi = e.min(to);
-            if hi > lo {
-                busy += hi - lo;
-            }
-        }
-        busy
+        assert!(
+            from == SimTime::ZERO || from == self.window.0,
+            "utilization meter keeps no history: a window must start at zero \
+             or at the begin_window instant, not {from}"
+        );
+        self.busy_before(to) - self.busy_before(from)
     }
 
     /// Fraction of `[from, to)` this resource was busy, in `[0, 1]`.
+    ///
+    /// # Panics
+    ///
+    /// As [`UtilizationMeter::busy_between`].
     pub fn utilization_between(&self, from: SimTime, to: SimTime) -> f64 {
         if to <= from {
             return 0.0;
@@ -198,6 +249,12 @@ impl Resource {
         end
     }
 
+    /// Opens this resource's utilization window at `at` (see
+    /// [`UtilizationMeter::begin_window`]).
+    pub fn begin_window(&mut self, at: SimTime) {
+        self.meter.begin_window(at);
+    }
+
     /// Busy-time accounting for this resource.
     pub fn meter(&self) -> &UtilizationMeter {
         &self.meter
@@ -270,7 +327,15 @@ impl ResourcePool {
             .0
     }
 
-    /// Aggregate busy time across members within `[from, to)`.
+    /// Opens every member's utilization window at `at`.
+    pub fn begin_window(&self, at: SimTime) {
+        for r in &self.members {
+            r.borrow_mut().begin_window(at);
+        }
+    }
+
+    /// Aggregate busy time across members within `[from, to)` (the
+    /// window contract of [`UtilizationMeter::busy_between`] applies).
     pub fn busy_between(&self, from: SimTime, to: SimTime) -> SimDuration {
         self.members
             .iter()
@@ -332,13 +397,14 @@ mod tests {
     fn utilization_window_clips_intervals() {
         let mut m = UtilizationMeter::new();
         m.record(SimTime::from_nanos(10), SimTime::from_nanos(20));
+        m.begin_window(SimTime::from_nanos(15));
         m.record(SimTime::from_nanos(30), SimTime::from_nanos(40));
         // Window covering half of each interval.
         let busy = m.busy_between(SimTime::from_nanos(15), SimTime::from_nanos(35));
         assert_eq!(busy, SimDuration::from_nanos(10));
         assert_eq!(
-            m.busy_between(SimTime::from_nanos(20), SimTime::from_nanos(30)),
-            SimDuration::ZERO
+            m.busy_between(SimTime::ZERO, SimTime::from_nanos(15)),
+            SimDuration::from_nanos(5)
         );
         assert_eq!(
             m.busy_between(SimTime::from_nanos(40), SimTime::from_nanos(10)),
@@ -352,8 +418,150 @@ mod tests {
         let mut m = UtilizationMeter::new();
         m.record(SimTime::from_nanos(0), SimTime::from_nanos(10));
         m.record(SimTime::from_nanos(10), SimTime::from_nanos(20));
-        assert_eq!(m.intervals.len(), 1);
+        assert_eq!(m.last, (SimTime::ZERO, SimTime::from_nanos(20)));
         assert_eq!(m.total_busy(), SimDuration::from_nanos(20));
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps no history")]
+    fn window_from_an_unmarked_instant_panics() {
+        let mut m = UtilizationMeter::new();
+        m.record(SimTime::from_nanos(10), SimTime::from_nanos(20));
+        m.begin_window(SimTime::from_nanos(25));
+        m.record(SimTime::from_nanos(30), SimTime::from_nanos(40));
+        let _ = m.busy_between(SimTime::from_nanos(35), SimTime::from_nanos(40));
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps no history")]
+    fn window_ending_inside_history_panics() {
+        let mut m = UtilizationMeter::new();
+        m.record(SimTime::from_nanos(10), SimTime::from_nanos(20));
+        m.record(SimTime::from_nanos(30), SimTime::from_nanos(40));
+        let _ = m.busy_between(SimTime::ZERO, SimTime::from_nanos(25));
+    }
+
+    /// The interval-list meter this one replaced: keeps every merged
+    /// interval and answers any window.
+    #[derive(Default)]
+    struct ReferenceMeter {
+        intervals: Vec<(SimTime, SimTime)>,
+    }
+
+    impl ReferenceMeter {
+        fn record(&mut self, start: SimTime, end: SimTime) {
+            if start == end {
+                return;
+            }
+            if let Some(last) = self.intervals.last_mut() {
+                assert!(start >= last.1);
+                if start == last.1 {
+                    last.1 = end;
+                    return;
+                }
+            }
+            self.intervals.push((start, end));
+        }
+
+        fn busy_between(&self, from: SimTime, to: SimTime) -> SimDuration {
+            if to <= from {
+                return SimDuration::ZERO;
+            }
+            let idx = self.intervals.partition_point(|&(_, end)| end <= from);
+            let mut busy = SimDuration::ZERO;
+            for &(s, e) in &self.intervals[idx..] {
+                if s >= to {
+                    break;
+                }
+                let lo = s.max(from);
+                let hi = e.min(to);
+                if hi > lo {
+                    busy += hi - lo;
+                }
+            }
+            busy
+        }
+
+        fn utilization_between(&self, from: SimTime, to: SimTime) -> f64 {
+            if to <= from {
+                return 0.0;
+            }
+            self.busy_between(from, to).as_nanos() as f64 / (to - from).as_nanos() as f64
+        }
+    }
+
+    /// Drives a resource through random idle gaps, zero-length jobs and
+    /// bursts queued behind a backlog, opens the window at a random
+    /// instant, and checks every answer the contract allows against the
+    /// interval-list reference, bit for bit.
+    #[test]
+    fn o1_meter_matches_interval_list_reference() {
+        use crate::rng::SimRng;
+        const JOBS: usize = 12_000;
+        for seed in 0..4 {
+            let mut rng = SimRng::seed_from(seed);
+            let mut sim = Sim::new();
+            let r = Resource::new_ref("r");
+            let mut reference = ReferenceMeter::default();
+            let open_at = rng.range(0, JOBS as u64) as usize;
+            let mut from = SimTime::ZERO;
+            let mut checks = 0;
+            for job in 0..JOBS {
+                // Idle gaps of up to 2 µs, or none, so bursts queue.
+                if rng.chance(0.5) {
+                    let gap = SimDuration::from_nanos(rng.range(0, 2_000));
+                    sim.run_until(sim.now() + gap);
+                }
+                if job == open_at {
+                    from = sim.now();
+                    r.borrow_mut().begin_window(from);
+                }
+                let d = if rng.chance(0.1) {
+                    SimDuration::ZERO
+                } else {
+                    SimDuration::from_nanos(rng.range(1, 1_500))
+                };
+                let end = if rng.chance(0.5) {
+                    r.borrow_mut().run_job(&mut sim, d, |_| {})
+                } else {
+                    r.borrow_mut().consume(&mut sim, d)
+                };
+                reference.record(end - d, end);
+                if rng.chance(0.01) || job + 1 == JOBS {
+                    let now = sim.now();
+                    let res = r.borrow();
+                    let m = res.meter();
+                    assert_eq!(
+                        m.busy_between(SimTime::ZERO, now),
+                        reference.busy_between(SimTime::ZERO, now)
+                    );
+                    assert_eq!(
+                        m.utilization_between(SimTime::ZERO, now).to_bits(),
+                        reference.utilization_between(SimTime::ZERO, now).to_bits()
+                    );
+                    if job >= open_at {
+                        assert_eq!(m.busy_between(from, now), reference.busy_between(from, now));
+                        assert_eq!(
+                            m.busy_between(SimTime::ZERO, from),
+                            reference.busy_between(SimTime::ZERO, from)
+                        );
+                        assert_eq!(
+                            m.utilization_between(from, now).to_bits(),
+                            reference.utilization_between(from, now).to_bits()
+                        );
+                    }
+                    checks += 1;
+                }
+            }
+            sim.run();
+            let now = sim.now();
+            let m = r.borrow();
+            assert_eq!(
+                m.meter().busy_between(from, now),
+                reference.busy_between(from, now)
+            );
+            assert!(checks > 10, "seed {seed}: only {checks} checkpoints");
+        }
     }
 
     #[test]

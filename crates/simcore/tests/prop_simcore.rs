@@ -51,19 +51,32 @@ proptest! {
         gaps in prop::collection::vec((0u64..50, 1u64..50), 1..100),
         split in 0u64..5_000,
     ) {
-        let mut m = UtilizationMeter::new();
+        let mut intervals = Vec::with_capacity(gaps.len());
         let mut t = 0u64;
         for &(gap, busy) in &gaps {
             let start = t + gap;
-            let end = start + busy;
+            t = start + busy;
+            intervals.push((start, t));
+        }
+        // The meter keeps no history, so the split point is marked as the
+        // window start before the first interval that starts after it.
+        let mid = SimTime::from_nanos(split.min(t));
+        let mut m = UtilizationMeter::new();
+        let mut opened = false;
+        for &(start, end) in &intervals {
+            if !opened && SimTime::from_nanos(start) > mid {
+                m.begin_window(mid);
+                opened = true;
+            }
             m.record(SimTime::from_nanos(start), SimTime::from_nanos(end));
-            t = end;
+        }
+        if !opened {
+            m.begin_window(mid);
         }
         let total = SimTime::from_nanos(t);
         let u = m.utilization_between(SimTime::ZERO, total);
         prop_assert!((0.0..=1.0 + 1e-12).contains(&u));
-        // Additivity across a split point.
-        let mid = SimTime::from_nanos(split.min(t));
+        // Additivity across the split point.
         let a = m.busy_between(SimTime::ZERO, mid);
         let b = m.busy_between(mid, total);
         prop_assert_eq!(a + b, m.total_busy());
