@@ -45,7 +45,11 @@
 //! * the document catalog and its Zipf CDF are built once per call and
 //!   shared by every group; each group forks only its own draw stream;
 //! * each core's utilization meter keeps O(1) state however long the run
-//!   (see [`ioat_simcore::UtilizationMeter`]).
+//!   (see [`ioat_simcore::UtilizationMeter`]);
+//! * each host's L2 allocates its tags one 64-set chunk (2 KiB) at a
+//!   time, on the first insert into the chunk, so a host holds only the
+//!   sets it has touched: ≈ 41 of 64 chunks on a quick fat-tree point
+//!   (see [`ioat_memsim::Cache`]).
 
 use crate::costs::{DataCenterCosts, REQUEST_WIRE_BYTES};
 use crate::msg::{self, MsgSender};

@@ -14,7 +14,7 @@
 //!   directly, so destination lines must be invalidated — a subsequent CPU
 //!   read of DMA-written data misses.
 
-use crate::address::Buffer;
+use crate::address::{Buffer, PAGE_SIZE};
 
 /// Geometry of a simulated cache.
 ///
@@ -122,6 +122,12 @@ impl RangeOutcome {
 
 /// The cache proper.
 ///
+/// Tag storage is allocated one simulated page of set-index space at a
+/// time, on the first insert into it: a host pays for the part of its L2
+/// it has touched (2 KiB per 64-set chunk for the paper L2, at most
+/// 128 KiB), plus one occupancy byte per set. Residency queries and
+/// invalidations never allocate.
+///
 /// ```rust
 /// use ioat_memsim::{AccessOutcome, Cache, CacheConfig};
 /// let mut cache = Cache::new(CacheConfig { capacity: 4096, associativity: 2, line_size: 64 });
@@ -132,13 +138,13 @@ impl RangeOutcome {
 pub struct Cache {
     config: CacheConfig,
     /// Resident lines' set-relative tags (`line >> set_bits`; the set
-    /// index holds the low bits), `associativity` slots per set, most
-    /// recently used last within each set's occupied prefix. One
-    /// contiguous allocation (sets × ways): the per-line lookup loop walks
-    /// at most `associativity` adjacent words — no per-set pointer chase.
-    /// At 4 B a slot, the paper L2's tags are 128 KiB per host.
-    tags: Box<[u32]>,
-    /// Occupied ways per set.
+    /// index holds the low bits), one chunk of `2^chunk_bits` consecutive
+    /// sets per entry. A chunk is allocated on the first insert into any
+    /// of its sets and holds `associativity` slots per set, most recently
+    /// used last within each set's occupied prefix: the per-line lookup
+    /// loop walks at most `associativity` adjacent words.
+    chunks: Box<[Option<Box<[u32]>>]>,
+    /// Occupied ways per set; a set in an unallocated chunk has 0.
     lens: Box<[u8]>,
     stats: CacheStats,
     line_shift: u32,
@@ -147,6 +153,9 @@ pub struct Cache {
     set_bits: u32,
     /// `sets - 1`: the set of a line is `line & set_mask`.
     set_mask: u64,
+    /// log2 of the sets per chunk: `PAGE_SIZE / line_size`, clamped to
+    /// `1..=sets`.
+    chunk_bits: u32,
 }
 
 impl Cache {
@@ -162,14 +171,16 @@ impl Cache {
     pub fn new(config: CacheConfig) -> Self {
         config.validate();
         let sets = config.sets();
+        let chunk_sets = (PAGE_SIZE / config.line_size).clamp(1, sets);
         Cache {
             config,
-            tags: vec![0u32; sets as usize * config.associativity as usize].into_boxed_slice(),
+            chunks: vec![None; (sets / chunk_sets) as usize].into_boxed_slice(),
             lens: vec![0u8; sets as usize].into_boxed_slice(),
             stats: CacheStats::default(),
             line_shift: config.line_size.trailing_zeros(),
             set_bits: sets.trailing_zeros(),
             set_mask: sets - 1,
+            chunk_bits: chunk_sets.trailing_zeros(),
         }
     }
 
@@ -205,48 +216,83 @@ impl Cache {
         );
     }
 
-    /// Set index and set-relative tag of a line already checked by
-    /// `check_tag`.
+    /// Offset of set `set_idx`'s first slot within its chunk.
     #[inline]
-    fn split(&self, line: u64) -> (usize, u32) {
-        (
-            (line & self.set_mask) as usize,
-            (line >> self.set_bits) as u32,
-        )
+    fn slot_base(&self, set_idx: usize) -> usize {
+        (set_idx & ((1 << self.chunk_bits) - 1)) * self.config.associativity as usize
     }
 
-    /// The per-line body of `access_line` and `access_range`.
+    /// LRU update of one set, given its `associativity` slots and its
+    /// occupied count.
     #[inline]
-    fn touch(&mut self, set_idx: usize, tag: u32) -> AccessOutcome {
-        let ways = self.config.associativity as usize;
-        let base = set_idx * ways;
-        let len = self.lens[set_idx] as usize;
-        let set = &mut self.tags[base..base + len];
+    fn touch(slots: &mut [u32], len: &mut u8, stats: &mut CacheStats, tag: u32) -> AccessOutcome {
+        let ways = slots.len();
+        let n = *len as usize;
+        let set = &mut slots[..n];
         if let Some(pos) = set.iter().position(|&t| t == tag) {
             // Move to MRU position (end of the occupied prefix).
             set[pos..].rotate_left(1);
-            self.stats.hits += 1;
+            stats.hits += 1;
             AccessOutcome::Hit
-        } else if len == ways {
+        } else if n == ways {
             // Evict LRU (front), insert at MRU (back).
             set.rotate_left(1);
             set[ways - 1] = tag;
-            self.stats.evictions += 1;
-            self.stats.misses += 1;
+            stats.evictions += 1;
+            stats.misses += 1;
             AccessOutcome::Miss
         } else {
-            self.tags[base + len] = tag;
-            self.lens[set_idx] = (len + 1) as u8;
-            self.stats.misses += 1;
+            slots[n] = tag;
+            *len += 1;
+            stats.misses += 1;
             AccessOutcome::Miss
         }
     }
 
-    #[inline]
-    fn holds(&self, set_idx: usize, tag: u32) -> bool {
-        let base = set_idx * self.config.associativity as usize;
-        let len = self.lens[set_idx] as usize;
-        self.tags[base..base + len].contains(&tag)
+    /// Splits the checked lines `first..=last` into runs of consecutive
+    /// sets in one chunk, each as `(first set, set count, tag)`. A chunk's
+    /// sets are those of an aligned block of `2^chunk_bits` lines, so a
+    /// run ends at `line | chunk_mask`, its chunk's last set (after set
+    /// `sets - 1` the next line's set is 0, the start of chunk 0), and
+    /// every line of a run has the same tag.
+    fn runs(&self, first: u64, last: u64) -> impl Iterator<Item = (usize, usize, u32)> {
+        let (set_mask, set_bits) = (self.set_mask, self.set_bits);
+        let chunk_mask = (1u64 << self.chunk_bits) - 1;
+        let mut line = first;
+        std::iter::from_fn(move || {
+            (line <= last).then(|| {
+                let end = last.min(line | chunk_mask);
+                let run = (
+                    (line & set_mask) as usize,
+                    (end - line + 1) as usize,
+                    (line >> set_bits) as u32,
+                );
+                line = end + 1;
+                run
+            })
+        })
+    }
+
+    /// Accesses the checked lines `first..=last`: the body of
+    /// `access_line` and `access_range`, and the only place that
+    /// allocates a chunk. The chunk is looked up once per run, outside
+    /// the per-line loop.
+    fn access_lines(&mut self, first: u64, last: u64) -> RangeOutcome {
+        let mut out = RangeOutcome::default();
+        let ways = self.config.associativity as usize;
+        for (set_idx, sets, tag) in self.runs(first, last) {
+            let mut base = self.slot_base(set_idx);
+            let chunk = self.chunks[set_idx >> self.chunk_bits]
+                .get_or_insert_with(|| vec![0u32; ways << self.chunk_bits].into_boxed_slice());
+            for len in &mut self.lens[set_idx..set_idx + sets] {
+                match Self::touch(&mut chunk[base..base + ways], len, &mut self.stats, tag) {
+                    AccessOutcome::Hit => out.hit_lines += 1,
+                    AccessOutcome::Miss => out.miss_lines += 1,
+                }
+                base += ways;
+            }
+        }
+        out
     }
 
     /// Accesses one line by address, allocating on miss (write-allocate /
@@ -254,69 +300,73 @@ impl Cache {
     pub fn access_line(&mut self, addr: u64) -> AccessOutcome {
         let line = addr >> self.line_shift;
         self.check_tag(line);
-        let (set_idx, tag) = self.split(line);
-        self.touch(set_idx, tag)
+        if self.access_lines(line, line).hit_lines == 1 {
+            AccessOutcome::Hit
+        } else {
+            AccessOutcome::Miss
+        }
     }
 
     /// Checks residency without updating LRU order or statistics.
     pub fn probe_line(&self, addr: u64) -> bool {
-        let line = addr >> self.line_shift;
-        self.check_tag(line);
-        let (set_idx, tag) = self.split(line);
-        self.holds(set_idx, tag)
+        self.resident_lines(Buffer::new(addr, 1)) == 1
     }
 
     /// Accesses every line in `buf`, returning hit/miss counts.
     pub fn access_range(&mut self, buf: Buffer) -> RangeOutcome {
-        let mut out = RangeOutcome::default();
         if buf.is_empty() {
-            return out;
+            return RangeOutcome::default();
         }
         let (first, last) = self.line_range(buf);
-        for line in first..=last {
-            let (set_idx, tag) = self.split(line);
-            match self.touch(set_idx, tag) {
-                AccessOutcome::Hit => out.hit_lines += 1,
-                AccessOutcome::Miss => out.miss_lines += 1,
-            }
-        }
-        out
+        self.access_lines(first, last)
     }
 
-    /// Counts how many lines of `buf` are resident, touching nothing.
+    /// Counts how many lines of `buf` are resident, touching nothing. A
+    /// run in an unallocated chunk holds no line.
     pub fn resident_lines(&self, buf: Buffer) -> u64 {
         if buf.is_empty() {
             return 0;
         }
         let (first, last) = self.line_range(buf);
-        (first..=last)
-            .filter(|&line| {
-                let (set_idx, tag) = self.split(line);
-                self.holds(set_idx, tag)
-            })
-            .count() as u64
+        let ways = self.config.associativity as usize;
+        let mut resident = 0;
+        for (set_idx, sets, tag) in self.runs(first, last) {
+            let Some(chunk) = self.chunks[set_idx >> self.chunk_bits].as_deref() else {
+                continue;
+            };
+            let mut base = self.slot_base(set_idx);
+            for &len in &self.lens[set_idx..set_idx + sets] {
+                resident += u64::from(chunk[base..base + len as usize].contains(&tag));
+                base += ways;
+            }
+        }
+        resident
     }
 
     /// Invalidates every resident line of `buf` — the coherence action the
     /// memory controller performs after a DMA write (§2.2.2: "the copy
     /// engine must maintain cache coherence immediately after data
-    /// transfer").
+    /// transfer"). A run in an unallocated chunk holds no line.
     pub fn invalidate_range(&mut self, buf: Buffer) {
         if buf.is_empty() {
             return;
         }
         let (first, last) = self.line_range(buf);
         let ways = self.config.associativity as usize;
-        for line in first..=last {
-            let (set_idx, tag) = self.split(line);
-            let base = set_idx * ways;
-            let len = self.lens[set_idx] as usize;
-            let set = &mut self.tags[base..base + len];
-            if let Some(pos) = set.iter().position(|&t| t == tag) {
-                // Close the gap, preserving LRU order of the survivors.
-                set[pos..].rotate_left(1);
-                self.lens[set_idx] = (len - 1) as u8;
-                self.stats.invalidations += 1;
+        for (set_idx, sets, tag) in self.runs(first, last) {
+            let mut base = self.slot_base(set_idx);
+            let Some(chunk) = self.chunks[set_idx >> self.chunk_bits].as_deref_mut() else {
+                continue;
+            };
+            for len in &mut self.lens[set_idx..set_idx + sets] {
+                let set = &mut chunk[base..base + *len as usize];
+                if let Some(pos) = set.iter().position(|&t| t == tag) {
+                    // Close the gap, preserving LRU order of the survivors.
+                    set[pos..].rotate_left(1);
+                    *len -= 1;
+                    self.stats.invalidations += 1;
+                }
+                base += ways;
             }
         }
     }
@@ -486,10 +536,33 @@ mod tests {
         c.access_range(Buffer::new(1 << 60, 64));
     }
 
+    /// Bytes of tag slots in allocated chunks.
+    fn tag_bytes(c: &Cache) -> usize {
+        c.chunks
+            .iter()
+            .flatten()
+            .map(|chunk| size_of_val(&**chunk))
+            .sum()
+    }
+
     #[test]
-    fn paper_l2_tags_are_128_kib() {
-        let c = Cache::new(CacheConfig::paper_l2());
-        assert_eq!(std::mem::size_of_val(&*c.tags), 4096 * 8 * 4);
+    fn paper_l2_allocates_tags_one_2_kib_chunk_at_a_time() {
+        let mut c = Cache::new(CacheConfig::paper_l2());
+        assert_eq!(c.chunks.len(), 64);
+        assert_eq!(tag_bytes(&c), 0, "a new cache holds no chunk");
+        let untouched = Buffer::new(1 << 30, 1 << 20);
+        assert!(!c.probe_line(untouched.addr()));
+        assert_eq!(c.resident_lines(untouched), 0);
+        c.invalidate_range(untouched);
+        assert_eq!(tag_bytes(&c), 0, "reads and invalidations never allocate");
+        c.access_line(0);
+        assert_eq!(tag_bytes(&c), 2 * 1024, "one chunk: 64 sets x 8 ways x 4 B");
+        c.access_range(Buffer::new(1 << 24, 2 * 1024 * 1024));
+        assert_eq!(
+            tag_bytes(&c),
+            128 * 1024,
+            "a 2 MB range touches all 64 chunks"
+        );
     }
 
     /// Reference model: one `Vec` of full line numbers per set, LRU first.
@@ -558,6 +631,9 @@ mod tests {
     /// LRU. Lines are drawn from a few sets crossed with a pool of tags
     /// that differ only in high bits (up to `u32::MAX`), so any tag
     /// truncation that aliases two lines shows up as a wrong outcome.
+    /// Ranges often start on a chunk's last set, the cache's last set
+    /// among them (whose next line wraps to set 0), and span up to three
+    /// chunks, so a run that ends one set early or late shows up too.
     fn differential(cfg: CacheConfig, seed: u64, ops: usize) {
         let mut rng = ioat_simcore::SimRng::seed_from(seed);
         let mut cache = Cache::new(cfg);
@@ -565,6 +641,7 @@ mod tests {
         let sets = cfg.sets();
         let set_bits = sets.trailing_zeros();
         let line_size = cfg.line_size;
+        let chunk_sets = (PAGE_SIZE / line_size).clamp(1, sets);
         let max_line = ((u64::from(u32::MAX) + 1) << set_bits) - 1;
         let hi = 1u32 << (32 - set_bits).min(31);
         let mut tags = vec![u32::MAX, u32::MAX - 1, u32::MAX ^ hi, 1 << 31];
@@ -580,6 +657,8 @@ mod tests {
             };
             let set = if rng.chance(0.1) {
                 rng.range(0, sets)
+            } else if rng.chance(0.3) {
+                rng.range(0, sets / chunk_sets) * chunk_sets + chunk_sets - 1
             } else {
                 set_pool[rng.range(0, set_pool.len() as u64) as usize]
             };
@@ -588,9 +667,13 @@ mod tests {
         for op in 0..ops {
             let line = pick_line(&mut rng);
             let addr = (line * line_size) | rng.range(0, line_size);
-            // Ranges of up to four lines, clipped at the top of the
-            // address space the tags can cover.
-            let span = rng.range(0, 4 * line_size);
+            // Ranges of up to four lines or up to three chunks, clipped
+            // at the top of the address space the tags can cover.
+            let span = if rng.chance(0.2) {
+                rng.range(0, 3 * chunk_sets * line_size)
+            } else {
+                rng.range(0, 4 * line_size)
+            };
             let len = span.min((max_line + 1) * line_size - addr);
             let buf = Buffer::new(addr, len);
             match rng.range(0, 5) {
@@ -625,7 +708,8 @@ mod tests {
     }
 
     #[test]
-    fn matches_reference_lru_on_tiny_paper_and_modern_geometries() {
+    fn matches_reference_lru_on_tiny_paper_modern_and_big_line_geometries() {
+        // 2 sets: one chunk, smaller than a page.
         differential(tiny().config(), 1, 20_000);
         differential(CacheConfig::paper_l2(), 2, 20_000);
         let modern = CacheConfig {
@@ -634,5 +718,12 @@ mod tests {
             line_size: 64,
         };
         differential(modern, 3, 20_000);
+        // An 8 KiB line is larger than a page: one set per chunk.
+        let big_line = CacheConfig {
+            capacity: 256 * 1024,
+            associativity: 2,
+            line_size: 8192,
+        };
+        differential(big_line, 4, 20_000);
     }
 }
