@@ -1,4 +1,4 @@
-//! Figure runners shared by the `repro` binary and the self-timing benches.
+//! Figure runners for the `repro` binary.
 //!
 //! One public builder per table/figure of the paper's evaluation section;
 //! each is a *pure* function returning a [`FigureResult`] — no printing.
@@ -12,7 +12,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod microtime;
 pub mod modern;
 pub mod report;
 pub mod sweep;
@@ -30,7 +29,6 @@ use ioat_pvfs::harness::{
 
 /// A generic labelled comparison row printed by every figure runner.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Row {
     /// X-axis label (ports, threads, message size, trace, α, ...).
     pub label: String,
@@ -66,7 +64,6 @@ impl Row {
 
 /// One row of the Ablation A2 pinning-cost sensitivity table.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PinningRow {
     /// Copied bytes.
     pub size: u64,
@@ -84,7 +81,6 @@ pub struct PinningRow {
 /// deliberately excluded: like `wall_ms` it describes the host, not the
 /// model, and the determinism contract says it must be unobservable.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ParsimStats {
     /// Which simulation within the figure ("k=16 o=1 102K non", ...).
     pub label: String,
@@ -100,7 +96,6 @@ pub struct ParsimStats {
 
 /// The rows of one figure, preserving each table's native shape.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FigureRows {
     /// The standard 7-column I/OAT vs non-I/OAT comparison.
     Compare(Vec<Row>),
@@ -131,7 +126,6 @@ impl FigureRows {
 
 /// The complete, machine-readable result of one figure run.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FigureResult {
     /// Target id (`fig3a`, `abl-faults`, ...).
     pub name: String,
@@ -1381,10 +1375,10 @@ pub fn run_figure_supervised(
 /// Runs the Fig. 7 configuration with tracing on, prints the per-category
 /// CPU split-up over the measurement window for non-I/OAT and full I/OAT,
 /// and writes the full-I/OAT run as a Perfetto-loadable Chrome trace plus
-/// companion event/metrics CSVs next to it. Tracing is inherently
-/// single-threaded; this path never uses the sweep pool.
+/// the event CSV next to it. Tracing is inherently single-threaded; this
+/// path never uses the sweep pool.
 pub fn trace_fig7(window: ExperimentWindow, path: &std::path::Path) {
-    use ioat_telemetry::{cpu_splitup, export, Tracer};
+    use ioat_telemetry::{cpu_splitup, Tracer};
     let cfg = splitup::SplitupConfig { ports: 2, window };
     let msg = 64 * 1024;
     let mut last: Option<Tracer> = None;
@@ -1412,23 +1406,7 @@ pub fn trace_fig7(window: ExperimentWindow, path: &std::path::Path) {
         );
         last = Some(tracer);
     }
-    let tracer = last.expect("loop ran");
-    if let Err(e) = export::write_chrome_trace(path, &tracer) {
-        eprintln!("error: cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-    let csv_events = path.with_extension("events.csv");
-    if let Err(e) = std::fs::write(&csv_events, export::events_csv(&tracer.events())) {
-        eprintln!("error: cannot write {}: {e}", csv_events.display());
-        std::process::exit(1);
-    }
-    println!(
-        "\nwrote {} ({} events) and {}",
-        path.display(),
-        tracer.len(),
-        csv_events.display()
-    );
-    println!("open the JSON at https://ui.perfetto.dev or chrome://tracing");
+    write_trace(path, &last.expect("loop ran"));
 }
 
 /// Runs the Fig. 10a configuration (6 servers × 6 clients, concurrent
@@ -1441,7 +1419,7 @@ pub fn trace_fig7(window: ExperimentWindow, path: &std::path::Path) {
 /// CSV, exactly like [`trace_fig7`]. Single-threaded by design.
 pub fn trace_fig10a(window: ExperimentWindow, path: &std::path::Path) {
     use ioat_pvfs::harness::concurrent_read_traced;
-    use ioat_telemetry::{cpu_splitup, export, Category, Tracer};
+    use ioat_telemetry::{cpu_splitup, Category, Tracer};
     let elapsed = (window.to() - window.from()).as_secs_f64();
     let mut last: Option<Tracer> = None;
     for (label, ioat) in [
@@ -1486,8 +1464,15 @@ pub fn trace_fig10a(window: ExperimentWindow, path: &std::path::Path) {
         );
         last = Some(tracer);
     }
-    let tracer = last.expect("loop ran");
-    if let Err(e) = export::write_chrome_trace(path, &tracer) {
+    write_trace(path, &last.expect("loop ran"));
+}
+
+/// Writes `tracer` to `path` as a Chrome trace plus the event CSV beside
+/// it (`.events.csv`), and prints both paths; exits 1 if either write
+/// fails.
+fn write_trace(path: &std::path::Path, tracer: &ioat_telemetry::Tracer) {
+    use ioat_telemetry::export;
+    if let Err(e) = export::write_chrome_trace(path, tracer) {
         eprintln!("error: cannot write {}: {e}", path.display());
         std::process::exit(1);
     }

@@ -1,12 +1,11 @@
 //! Machine-readable run reports (`repro --json`).
 //!
 //! Hand-rolled JSON, same approach as `ioat-telemetry`'s Chrome-trace
-//! exporter: the offline build has no registry serde, and the in-tree
-//! `serde` facade is a no-op stub, so the writer walks [`FigureResult`]s
-//! directly. The document is stable enough to commit (`BENCH_pr5.json`)
-//! and diff across PRs: figures appear in request order, rows in input
-//! order, and every number comes from a deterministic simulation — only
-//! the `*_wall_ms` fields vary between hosts.
+//! exporter: the offline build has no registry serde, so the writer walks
+//! [`FigureResult`]s directly. The document is stable enough to commit
+//! (`BENCH_pr5.json`) and diff across PRs: figures appear in request
+//! order, rows in input order, and every number comes from a deterministic
+//! simulation — only the `*_wall_ms` fields vary between hosts.
 //!
 //! Schema `ioat-bench/2` adds per-figure `status` ("ok"/"failed") and
 //! `error` (the supervisor's classified failure reason, or null): a

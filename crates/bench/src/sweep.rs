@@ -73,11 +73,6 @@ impl<T> JobOutcome<T> {
             JobOutcome::Failed { .. } => None,
         }
     }
-
-    /// True for [`JobOutcome::Failed`].
-    pub fn is_failed(&self) -> bool {
-        matches!(self, JobOutcome::Failed { .. })
-    }
 }
 
 type JobResult<T> = Result<T, Box<dyn Any + Send>>;
@@ -406,9 +401,8 @@ mod tests {
         let out = run_jobs_supervised(vec![mk(2)], 1, 2);
         assert_eq!(out, vec![JobOutcome::Ok(3)], "succeeds on attempt 3 of 3");
         let out = run_jobs_supervised(vec![mk(2)], 1, 1);
-        assert!(out[0].is_failed(), "retry budget of 1 is not enough");
         let JobOutcome::Failed { reason } = &out[0] else {
-            unreachable!()
+            panic!("retry budget of 1 is not enough");
         };
         assert!(
             reason.contains("transient failure #2"),

@@ -76,7 +76,6 @@ pub fn modern_cache() -> CacheConfig {
 /// I/OAT's CPU advantage survives two decades of both hardware and stack
 /// evolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NodeProfile {
     /// The paper's testbed: 4 cores, 2 MB L2, 2007-era per-packet costs.
     #[default]
@@ -120,25 +119,9 @@ impl NodeProfile {
     }
 }
 
-/// Theoretical TCP goodput of one GigE port with standard frames:
-/// 1460 / 1538 of the line rate ≈ 949 Mbps.
-pub fn gige_goodput_mbps(mtu: u64) -> f64 {
-    let mss = mtu - 40;
-    let wire = mss + ioat_netsim::FRAME_OVERHEAD;
-    1000.0 * mss as f64 / wire as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn goodput_bounds() {
-        let std = gige_goodput_mbps(1500);
-        assert!((948.0..951.0).contains(&std), "std goodput {std}");
-        let jumbo = gige_goodput_mbps(2048);
-        assert!(jumbo > std, "jumbo frames carry more payload per wire byte");
-    }
 
     #[test]
     fn testbed_matches_paper() {

@@ -249,11 +249,6 @@ impl Cluster {
         self.bandwidth = bw;
     }
 
-    /// Overrides the fabric latency for subsequently wired ports.
-    pub fn set_latency(&mut self, latency: SimDuration) {
-        self.latency = latency;
-    }
-
     /// Adds a node.
     ///
     /// # Panics

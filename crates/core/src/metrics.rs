@@ -1,7 +1,7 @@
 //! Experiment measurement: warm-up + window handling and result types.
 
 use crate::cluster::{Cluster, NodeHandle};
-use ioat_simcore::stats::{relative_benefit, relative_improvement};
+use ioat_simcore::stats::relative_benefit;
 use ioat_simcore::{SimDuration, SimTime};
 
 /// A warm-up + measurement window pair.
@@ -12,7 +12,6 @@ use ioat_simcore::{SimDuration, SimTime};
 /// measurement window only, the way the paper's `ttcp` runs report
 /// steady-state numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ExperimentWindow {
     /// Warm-up length (excluded from all metrics).
     pub warmup: SimDuration,
@@ -67,7 +66,6 @@ impl ExperimentWindow {
 
 /// Throughput + CPU result for one configuration of one experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ThroughputResult {
     /// Application-level goodput in Mbps (10^6 bits/s).
     pub mbps: f64,
@@ -89,18 +87,11 @@ impl ThroughputResult {
     pub fn mbytes_per_sec(&self) -> f64 {
         self.mbps / 8.0
     }
-
-    /// The fraction of receiver capacity burned spinning: occupancy
-    /// minus useful utilization, clamped at zero.
-    pub fn rx_spin_overhead(&self) -> f64 {
-        (self.rx_occupancy - self.rx_cpu).max(0.0)
-    }
 }
 
 /// An I/OAT vs non-I/OAT comparison row, with the paper's derived
 /// metrics.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Comparison {
     /// The non-I/OAT result.
     pub non_ioat: ThroughputResult,
@@ -112,11 +103,6 @@ impl Comparison {
     /// The paper's "relative CPU benefit": `(b - a) / b` on receiver CPU.
     pub fn relative_cpu_benefit(&self) -> f64 {
         relative_benefit(self.ioat.rx_cpu, self.non_ioat.rx_cpu)
-    }
-
-    /// Relative throughput improvement of I/OAT.
-    pub fn throughput_improvement(&self) -> f64 {
-        relative_improvement(self.ioat.mbps, self.non_ioat.mbps)
     }
 }
 
@@ -149,7 +135,6 @@ mod tests {
         };
         // §4.1: 37% vs 29% is "close to 21%" relative benefit.
         assert!((c.relative_cpu_benefit() - 0.216).abs() < 0.01);
-        assert!(c.throughput_improvement() > 0.0);
         assert!((c.ioat.mbytes_per_sec() - 698.25).abs() < 0.01);
     }
 }

@@ -13,7 +13,6 @@ use ioat_netsim::{IoatConfig, SocketOpts};
 
 /// Configuration of a bandwidth run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BandwidthConfig {
     /// Number of dedicated port pairs (the paper sweeps 1–6).
     pub ports: usize,
@@ -50,7 +49,6 @@ impl BandwidthConfig {
 /// A [`ThroughputResult`] plus the fault/recovery activity of the run,
 /// summed over both endpoints.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultedThroughputResult {
     /// Throughput and CPU utilization, as in the fault-free test.
     pub throughput: ThroughputResult,

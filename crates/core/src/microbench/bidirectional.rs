@@ -12,7 +12,6 @@ use ioat_netsim::{IoatConfig, SocketOpts};
 
 /// Configuration of a bi-directional bandwidth run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BidirConfig {
     /// Number of port pairs; N connections flow in each direction.
     pub ports: usize,

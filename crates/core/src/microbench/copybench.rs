@@ -19,7 +19,6 @@ use ioat_netsim::StackParams;
 
 /// One row of the Fig. 6 table.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CopyRow {
     /// Copied bytes.
     pub size: u64,

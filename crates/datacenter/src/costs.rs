@@ -13,7 +13,6 @@ pub const REQUEST_WIRE_BYTES: u64 = 300;
 
 /// Per-request CPU costs of the tiers.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DataCenterCosts {
     /// Proxy: parse request line + headers, match vhost/ACLs.
     pub proxy_parse: SimDuration,

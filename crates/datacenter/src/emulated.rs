@@ -69,7 +69,6 @@ impl EmulatedConfig {
 
 /// Outcome of an emulated-clients run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EmulatedResult {
     /// Transactions per second.
     pub tps: f64,

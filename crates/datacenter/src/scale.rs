@@ -212,7 +212,6 @@ impl ScaleConfig {
 /// Outcome of a fabric-scale run. All statistics are streaming — their
 /// memory footprint is independent of `clients` and of the request count.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScaleResult {
     /// Transactions per second over the measurement window.
     pub tps: f64,

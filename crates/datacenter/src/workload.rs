@@ -12,7 +12,6 @@ use std::sync::Arc;
 /// One client request: which document, and how many bytes the response
 /// carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Request {
     /// Document identifier (an index into the catalog).
     pub file_id: u32,
@@ -22,7 +21,6 @@ pub struct Request {
 
 /// A catalog of documents with sizes.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FileCatalog {
     sizes: Vec<u64>,
 }
@@ -96,20 +94,6 @@ impl SingleFileTrace {
     pub fn new(size: u64) -> Self {
         assert!(size > 0, "document must have a size");
         SingleFileTrace { size }
-    }
-
-    /// The five traces of Fig. 8a: 2 K, 4 K, 6 K, 8 K, 10 K.
-    pub fn paper_traces() -> Vec<(String, SingleFileTrace)> {
-        [2u64, 4, 6, 8, 10]
-            .into_iter()
-            .enumerate()
-            .map(|(i, kb)| {
-                (
-                    format!("Trace {} ({}K)", i + 1, kb),
-                    SingleFileTrace::new(kb * 1024),
-                )
-            })
-            .collect()
     }
 }
 
@@ -190,11 +174,6 @@ impl ZipfTrace {
         self.alpha
     }
 
-    /// The α values the paper sweeps (high → low temporal locality).
-    pub fn paper_alphas() -> [f64; 4] {
-        [0.95, 0.90, 0.75, 0.50]
-    }
-
     /// The underlying catalog.
     pub fn catalog(&self) -> &FileCatalog {
         &self.catalog
@@ -240,7 +219,6 @@ mod tests {
                 }
             );
         }
-        assert_eq!(SingleFileTrace::paper_traces().len(), 5);
     }
 
     #[test]

@@ -19,7 +19,6 @@ pub const PAGE_SIZE: u64 = 4096;
 /// assert_eq!(buf.pages(), 3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Buffer {
     addr: u64,
     len: u64,
@@ -98,7 +97,6 @@ impl Buffer {
 /// NIC header rings) allocate from the same space so their cache footprints
 /// interact realistically.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AddressAllocator {
     next: u64,
 }

@@ -26,7 +26,6 @@ use crate::address::{Buffer, PAGE_SIZE};
 /// log2(line_size)`: 2^50 for the paper L2, 2^53 for the 32 MB / 16-way
 /// modern LLC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity: u64,
@@ -70,7 +69,6 @@ impl CacheConfig {
 
 /// Whether an access hit or missed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AccessOutcome {
     /// Line was resident.
     Hit,
@@ -80,7 +78,6 @@ pub enum AccessOutcome {
 
 /// Running hit/miss counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheStats {
     /// Number of line accesses that hit.
     pub hits: u64,
@@ -192,11 +189,6 @@ impl Cache {
     /// Accumulated statistics.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Resets statistics (residency is preserved).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     /// First and last line numbers of a non-empty `buf`, checked once for

@@ -18,7 +18,6 @@ use ioat_simcore::SimDuration;
 /// DDR2-era memory): a cached copy moves ≈ 6.4 GB/s per direction and a
 /// cold copy pays the memory round-trip on every line.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CopyParams {
     /// Fixed per-call overhead (function call, loop setup).
     pub per_call: SimDuration,
@@ -55,7 +54,6 @@ impl CopyParams {
 /// The outcome of a modelled copy: how long the CPU was busy and what the
 /// cache saw.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CopyCost {
     /// CPU busy time for the copy.
     pub duration: SimDuration,

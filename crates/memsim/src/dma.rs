@@ -33,7 +33,6 @@ pub type DmaEngineRef = Rc<RefCell<DmaEngine>>;
 /// beats a cold CPU copy above ≈ 8 KB, and ≥ 90 % of a 64 KB copy can be
 /// overlapped with computation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DmaConfig {
     /// Synchronous CPU cost to build and ring a descriptor.
     pub startup: SimDuration,
@@ -96,7 +95,6 @@ impl DmaConfig {
 
 /// A copy request: source and destination ranges of equal length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DmaRequest {
     /// Source range.
     pub src: Buffer,
@@ -133,7 +131,6 @@ impl DmaRequest {
 
 /// Running engine statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DmaStats {
     /// Copies issued.
     pub requests: u64,

@@ -1,42 +1,20 @@
 //! Property tests for memory-model invariants.
 //!
-//! Each property runs on [`CASES`] generated inputs. Case `c` draws its
-//! inputs from `SimRng::stream(SEED, c)`, so a case is named by its seed
-//! and number alone: a failure prints both, and rerunning the property
-//! reproduces it exactly.
+//! Each property runs on [`CASES`] generated inputs from the shared
+//! seeded driver ([`check::check`]).
 
+#[path = "../../simcore/tests/support/check.rs"]
+mod check;
+
+use check::check;
 use ioat_memsim::{
     AddressAllocator, Buffer, Cache, CacheConfig, CopyParams, CpuCopier, DmaConfig, DmaEngine,
     DmaRequest, PAGE_SIZE,
 };
 use ioat_simcore::{Sim, SimRng};
 
-/// Seed of every property's case family.
-const SEED: u64 = 0x10a7;
 /// Cases per property.
 const CASES: u64 = 256;
-
-/// Runs `property` on cases `0..CASES`; if one panics, prints the
-/// property's name with the seed and case that failed.
-fn check(name: &str, property: impl Fn(&mut SimRng)) {
-    /// Reports the running case if it is dropped by a panic.
-    struct Case<'a>(&'a str, u64);
-    impl Drop for Case<'_> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                eprintln!(
-                    "property {} failed: seed {SEED:#x}, case {}",
-                    self.0, self.1
-                );
-            }
-        }
-    }
-    for case in 0..CASES {
-        let guard = Case(name, case);
-        property(&mut SimRng::stream(SEED, case));
-        drop(guard);
-    }
-}
 
 /// `n` draws of `draw`, with `n` uniform in `lo..hi`.
 fn vec_of<T>(rng: &mut SimRng, lo: u64, hi: u64, draw: impl Fn(&mut SimRng) -> T) -> Vec<T> {
@@ -48,7 +26,7 @@ fn vec_of<T>(rng: &mut SimRng, lo: u64, hi: u64, draw: impl Fn(&mut SimRng) -> T
 /// page boundary.
 #[test]
 fn page_chunks_tile_exactly() {
-    check("page_chunks_tile_exactly", |rng| {
+    check("page_chunks_tile_exactly", CASES, |rng| {
         let (addr, len) = (rng.range(0, 1_000_000), rng.range(0, 100_000));
         let b = Buffer::new(addr, len);
         let chunks: Vec<Buffer> = b.page_chunks().collect();
@@ -72,7 +50,7 @@ fn page_chunks_tile_exactly() {
 /// just-touched small range always hits.
 #[test]
 fn cache_capacity_invariant() {
-    check("cache_capacity_invariant", |rng| {
+    check("cache_capacity_invariant", CASES, |rng| {
         let accesses = vec_of(rng, 1, 60, |rng| {
             (rng.range(0, 1 << 22), rng.range(1, 8192))
         });
@@ -104,7 +82,7 @@ fn cache_capacity_invariant() {
 /// resident.
 #[test]
 fn immediate_reaccess_hits() {
-    check("immediate_reaccess_hits", |rng| {
+    check("immediate_reaccess_hits", CASES, |rng| {
         let addr = rng.range(0, 1 << 20);
         let cfg = CacheConfig::paper_l2();
         let mut cache = Cache::new(cfg);
@@ -118,7 +96,7 @@ fn immediate_reaccess_hits() {
 /// Copy cost is monotone in size for fixed residency, and cold ≥ warm.
 #[test]
 fn copy_cost_monotone() {
-    check("copy_cost_monotone", |rng| {
+    check("copy_cost_monotone", CASES, |rng| {
         let bytes = rng.range(64, 1_000_000);
         let c = CpuCopier::new(CopyParams::default());
         let cold = c.cold_cost(bytes, 64);
@@ -133,7 +111,7 @@ fn copy_cost_monotone() {
 /// total busy time equals the sum of the individual transfer times.
 #[test]
 fn dma_channel_busy_time_is_additive() {
-    check("dma_channel_busy_time_is_additive", |rng| {
+    check("dma_channel_busy_time_is_additive", CASES, |rng| {
         let lens = vec_of(rng, 1, 20, |rng| rng.range(1, 200_000));
         let mut sim = Sim::new();
         let engine = DmaEngine::new_ref(DmaConfig::default(), None);
@@ -156,7 +134,7 @@ fn dma_channel_busy_time_is_additive() {
 /// Overlap fraction is always in [0, 1) for non-empty requests.
 #[test]
 fn overlap_fraction_bounded() {
-    check("overlap_fraction_bounded", |rng| {
+    check("overlap_fraction_bounded", CASES, |rng| {
         let len = rng.range(1, 10_000_000);
         let engine = DmaEngine::new_ref(DmaConfig::default(), None);
         let mut alloc = AddressAllocator::new();

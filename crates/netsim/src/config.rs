@@ -23,7 +23,6 @@ pub const TCPIP_HEADERS: u64 = 40;
 /// that displaced it and attack the same per-packet costs I/OAT attacks
 /// from the other side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RxMode {
     /// Interrupt per frame, subject only to the adapter's ITR minimum gap
     /// — the 2007 default.
@@ -74,7 +73,6 @@ impl RxMode {
 /// Per-connection socket options — the knobs the paper sweeps as
 /// "Cases 1–5" in §4.3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SocketOpts {
     /// Send socket buffer in bytes; bounds the sender's in-flight window.
     pub sndbuf: u64,
@@ -195,7 +193,6 @@ impl Default for SocketOpts {
 
 /// Which I/OAT features are active on a node (§2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IoatConfig {
     /// Offload kernel→user copies to the asynchronous DMA engine.
     pub dma_engine: bool,
@@ -326,7 +323,6 @@ impl IoatConfig {
 /// microseconds per packet, dominated by memory accesses, and goes up
 /// sharply when connection/header state misses in cache.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StackParams {
     /// Fixed CPU cost per received packet (demux, TCP state machine),
     /// excluding the cache-dependent accesses below.

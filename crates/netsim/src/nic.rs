@@ -21,7 +21,6 @@ pub const FRAME_OVERHEAD: u64 = 78;
 /// A frame as seen by the receiving NIC: payload bytes of a connection's
 /// stream ending at cumulative sequence `seq_end`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Frame {
     /// The connection the frame belongs to.
     pub conn: ConnId,
@@ -175,15 +174,6 @@ impl RxCoalescer {
     /// Frames seen so far.
     pub fn frames_seen(&self) -> u64 {
         self.frames_seen
-    }
-
-    /// Mean frames per interrupt so far (0 when no interrupts yet).
-    pub fn frames_per_interrupt(&self) -> f64 {
-        if self.interrupts_raised == 0 {
-            0.0
-        } else {
-            self.frames_seen as f64 / self.interrupts_raised as f64
-        }
     }
 }
 

@@ -527,11 +527,6 @@ impl HostStack {
         busy.as_secs_f64() / (window.as_secs_f64() * self.cores.len() as f64)
     }
 
-    /// Bytes delivered to applications on this node during the window.
-    pub fn delivered_bytes(&self) -> u64 {
-        self.rx_meter.window_bytes()
-    }
-
     /// Per-connection delivered throughput in Mbps over the window ending
     /// at `now`.
     pub fn conn_mbps(&self, conn: ConnId, now: SimTime) -> f64 {

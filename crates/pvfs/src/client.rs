@@ -19,7 +19,6 @@ use std::rc::Rc;
 
 /// Direction of the concurrent test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum IoMode {
     /// `pvfs-test` read phase: servers stream to clients.
     Read,
@@ -29,7 +28,6 @@ pub enum IoMode {
 
 /// Per-client driving parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClientParams {
     /// Outstanding piece requests per client process.
     pub pipeline: usize,
@@ -85,7 +83,6 @@ impl ClientParams {
 
 /// Fault/recovery activity of one client process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClientFaultStats {
     /// Per-op deadlines that expired.
     pub timeouts: u64,

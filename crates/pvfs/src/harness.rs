@@ -126,7 +126,6 @@ impl PvfsConfig {
 
 /// Outcome of a PVFS experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PvfsResult {
     /// Aggregate bandwidth in MB/s (10^6 bytes/s), the paper's unit.
     pub mbytes_per_sec: f64,
@@ -336,11 +335,6 @@ pub fn concurrent_read_traced(cfg: &PvfsConfig, tracer: &Tracer) -> PvfsResult {
 /// Fig. 11 — concurrent write: clients stream to servers.
 pub fn concurrent_write(cfg: &PvfsConfig) -> PvfsResult {
     run(cfg, IoMode::Write)
-}
-
-/// [`concurrent_write`] with a tracer attached.
-pub fn concurrent_write_traced(cfg: &PvfsConfig, tracer: &Tracer) -> PvfsResult {
-    run_traced(cfg, IoMode::Write, tracer)
 }
 
 /// Fig. 12 — multi-stream read with `threads` emulated clients on the

@@ -21,7 +21,6 @@ pub const WRITE_ACK_BYTES: u64 = 64;
 
 /// Messages a client sends to an I/O daemon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum IodRequest {
     /// Read `len` bytes of this server's stripe pieces.
     Read {
@@ -41,7 +40,6 @@ pub enum IodRequest {
 
 /// Messages an I/O daemon sends back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum IodReply {
     /// The message carries `len` bytes of file data.
     Data {
@@ -69,7 +67,6 @@ impl IodReply {
 
 /// `ramfs` + request-handling costs of an I/O daemon.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IodParams {
     /// Fixed cost to decode and validate a request.
     pub request_handle: SimDuration,

@@ -9,7 +9,6 @@ pub const DEFAULT_STRIPE: u64 = 64 * 1024;
 
 /// A file's striping parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Layout {
     /// Stripe unit in bytes.
     pub stripe_size: u64,
@@ -22,7 +21,6 @@ pub struct Layout {
 
 /// One contiguous piece of a request, mapped to a single server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StripePiece {
     /// The I/O server holding the piece.
     pub server: usize,
@@ -77,15 +75,6 @@ impl Layout {
         }
         out
     }
-
-    /// Bytes of `[offset, offset+len)` that land on `server`.
-    pub fn bytes_on_server(&self, offset: u64, len: u64, server: usize) -> u64 {
-        self.pieces(offset, len)
-            .iter()
-            .filter(|p| p.server == server)
-            .map(|p| p.len)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -123,10 +112,11 @@ mod tests {
     fn aligned_request_spreads_evenly() {
         let l = Layout::default_over(4);
         // 2 MB per server, as the paper's pvfs-test does with N=4.
-        let total = 4 * 2 * 1024 * 1024;
-        for s in 0..4 {
-            assert_eq!(l.bytes_on_server(0, total, s), 2 * 1024 * 1024);
+        let mut per_server = [0u64; 4];
+        for p in l.pieces(0, 4 * 2 * 1024 * 1024) {
+            per_server[p.server] += p.len;
         }
+        assert_eq!(per_server, [2 * 1024 * 1024; 4]);
     }
 
     #[test]

@@ -19,7 +19,6 @@ pub const META_REPLY_BYTES: u64 = 512;
 
 /// Metadata operation costs.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MetaParams {
     /// CPU cost of an `open` (permission check, layout lookup).
     pub open_cost: SimDuration,

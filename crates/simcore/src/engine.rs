@@ -294,11 +294,6 @@ impl Sim {
         self.hook = Some(Rc::new(RefCell::new(hook)));
     }
 
-    /// Removes the event observer.
-    pub fn clear_event_hook(&mut self) {
-        self.hook = None;
-    }
-
     /// Caps the total number of events this simulator will execute.
     ///
     /// Exceeding the cap makes [`Sim::run`] panic, which turns a silent
@@ -896,10 +891,6 @@ mod tests {
             *seen.borrow(),
             vec![(SimTime::from_nanos(10), 0), (SimTime::from_nanos(20), 1)]
         );
-        sim.clear_event_hook();
-        sim.schedule(SimDuration::from_nanos(5), mk(3));
-        sim.run();
-        assert_eq!(seen.borrow().len(), 2, "cleared hook sees nothing");
     }
 
     #[test]

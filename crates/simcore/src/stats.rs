@@ -20,7 +20,6 @@ use std::fmt;
 /// assert_eq!(bytes.total(), 1_500);
 /// ```
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Counter {
     total: u64,
     window_start: SimTime,
@@ -76,19 +75,9 @@ pub fn bytes_to_mbps(bytes: u64, elapsed: SimDuration) -> f64 {
     bytes as f64 * 8.0 / 1e6 / elapsed.as_secs_f64()
 }
 
-/// Converts a byte counter window into MB/s (10^6 bytes/s), the unit the
-/// paper uses for PVFS results.
-pub fn bytes_to_mbytes_per_sec(bytes: u64, elapsed: SimDuration) -> f64 {
-    if elapsed.is_zero() {
-        return 0.0;
-    }
-    bytes as f64 / 1e6 / elapsed.as_secs_f64()
-}
-
 /// A windowed throughput meter: counts bytes and reports Mbps/MBps over a
 /// measurement window, excluding warm-up.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RateMeter {
     bytes: Counter,
 }
@@ -109,11 +98,6 @@ impl RateMeter {
         self.bytes.begin_window(at);
     }
 
-    /// Bytes recorded inside the window.
-    pub fn window_bytes(&self) -> u64 {
-        self.bytes.window_total()
-    }
-
     /// Total bytes recorded since construction.
     pub fn total_bytes(&self) -> u64 {
         self.bytes.total()
@@ -132,7 +116,6 @@ impl RateMeter {
 
 /// Online mean/min/max/variance (Welford) summary.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -246,7 +229,6 @@ impl fmt::Display for Summary {
 /// `1/SUB` (≈ 3% with 32 sub-buckets), plenty for reporting latency
 /// percentiles.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
     counts: Vec<u64>,
     total: u64,
@@ -508,7 +490,6 @@ mod tests {
     #[test]
     fn unit_conversions() {
         assert!((bytes_to_mbps(1_250_000, SimDuration::from_secs(1)) - 10.0).abs() < 1e-9);
-        assert!((bytes_to_mbytes_per_sec(2_000_000, SimDuration::from_secs(2)) - 1.0).abs() < 1e-9);
         assert_eq!(bytes_to_mbps(1, SimDuration::ZERO), 0.0);
     }
 }

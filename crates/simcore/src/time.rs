@@ -22,7 +22,6 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!(t.as_nanos(), 3_000);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimTime(u64);
 
 /// A span of simulated time in nanoseconds.
@@ -33,7 +32,6 @@ pub struct SimTime(u64);
 /// assert_eq!(d.as_nanos(), 2_500);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimDuration(u64);
 
 impl SimTime {
@@ -312,12 +310,11 @@ impl fmt::Display for SimDuration {
 ///
 /// ```rust
 /// use ioat_simcore::time::Bandwidth;
-/// let gige = Bandwidth::from_mbps(1_000);
+/// let gige = Bandwidth::from_gbps(1);
 /// // A 1500-byte frame takes 12 microseconds at line rate.
 /// assert_eq!(gige.transfer_time(1_500).as_nanos(), 12_000);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Bandwidth {
     bits_per_sec: u64,
 }
@@ -332,11 +329,6 @@ impl Bandwidth {
     pub fn from_bps(bps: u64) -> Self {
         assert!(bps > 0, "bandwidth must be positive");
         Bandwidth { bits_per_sec: bps }
-    }
-
-    /// Creates a bandwidth of `mbps` megabits (10^6 bits) per second.
-    pub fn from_mbps(mbps: u64) -> Self {
-        Bandwidth::from_bps(mbps * 1_000_000)
     }
 
     /// Creates a bandwidth of `gbps` gigabits (10^9 bits) per second.

@@ -7,7 +7,6 @@
 //! (nodes) and threads (cores). Timestamps are microseconds with
 //! nanosecond fractions.
 
-use crate::registry::MetricsRegistry;
 use crate::tracer::{Event, EventKind, Tracer};
 use ioat_simcore::SimTime;
 use std::fmt::Write as _;
@@ -148,27 +147,6 @@ pub fn events_csv(events: &[Event]) -> String {
     out
 }
 
-/// Renders a metrics registry as CSV (`kind,name,field,value` rows:
-/// counters and gauges one row each, histograms one row per bucket plus
-/// count/sum).
-pub fn registry_csv(reg: &MetricsRegistry) -> String {
-    let mut out = String::from("kind,name,field,value\n");
-    for (name, v) in reg.counters() {
-        let _ = writeln!(out, "counter,{name},value,{v}");
-    }
-    for (name, v) in reg.gauges() {
-        let _ = writeln!(out, "gauge,{name},value,{v}");
-    }
-    for (name, h) in reg.histograms() {
-        let _ = writeln!(out, "histogram,{name},count,{}", h.count());
-        let _ = writeln!(out, "histogram,{name},sum,{}", h.sum());
-        for (bound, count) in h.buckets() {
-            let _ = writeln!(out, "histogram,{name},le_{bound},{count}");
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,20 +273,5 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[1], "s,copy,0,1,span,5,9,");
         assert_eq!(lines[2], "c,io,1,0,counter,7,7,2.5");
-    }
-
-    #[test]
-    fn registry_csv_rows() {
-        let mut reg = MetricsRegistry::new();
-        reg.add("frames", 12);
-        reg.set_gauge("cpu", 0.25);
-        reg.declare_histogram("lat", &[10.0]);
-        reg.observe("lat", 3.0);
-        let csv = registry_csv(&reg);
-        assert!(csv.contains("counter,frames,value,12"));
-        assert!(csv.contains("gauge,cpu,value,0.25"));
-        assert!(csv.contains("histogram,lat,count,1"));
-        assert!(csv.contains("histogram,lat,le_10,1"));
-        assert!(csv.contains("histogram,lat,le_inf,0"));
     }
 }

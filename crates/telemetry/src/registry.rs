@@ -1,9 +1,9 @@
 //! A metrics registry: named counters, gauges and fixed-bucket histograms.
 //!
 //! The structured replacement for ad-hoc stat fields: experiments snapshot
-//! model counters into a registry at the end of a run, then export one CSV
-//! next to the trace. Keys are plain strings so callers can prefix them
-//! with node names (`"server.frames_processed"`).
+//! model counters into a registry at the end of a run and read them by
+//! name. Keys are plain strings so callers can prefix them with node names
+//! (`"server.frames_processed"`).
 
 use std::collections::BTreeMap;
 
@@ -186,21 +186,6 @@ impl MetricsRegistry {
     /// Reads a histogram.
     pub fn histogram(&self, name: &str) -> Option<&FixedHistogram> {
         self.histograms.get(name)
-    }
-
-    /// Iterates counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Iterates gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Iterates histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &FixedHistogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Folds another registry into this one (counters add, gauges take the

@@ -209,11 +209,6 @@ impl Tracer {
         Tracer::with_mask(u32::MAX)
     }
 
-    /// An enabled tracer recording only the given categories.
-    pub fn with_categories(cats: &[Category]) -> Self {
-        Tracer::with_mask(cats.iter().fold(0, |m, c| m | c.bit()))
-    }
-
     fn with_mask(mask: u32) -> Self {
         Tracer {
             inner: Some(Rc::new(RefCell::new(TraceBuf {
@@ -346,13 +341,6 @@ impl Tracer {
             .as_ref()
             .map_or_else(BTreeMap::new, |b| b.borrow().tracks.clone())
     }
-
-    /// Drops all recorded events, keeping the mask and metadata.
-    pub fn clear(&self) {
-        if let Some(b) = &self.inner {
-            b.borrow_mut().events.clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -375,11 +363,9 @@ mod tests {
 
     #[test]
     fn category_mask_filters() {
-        let tr = Tracer::with_categories(&[Category::Interrupt]);
+        let tr = Tracer::enabled();
         tr.span("irq", Category::Interrupt, TrackId::new(0, 1), t(0), t(5));
-        tr.span("cp", Category::Copy, TrackId::new(0, 1), t(5), t(9));
-        assert!(tr.records(Category::Interrupt));
-        assert!(!tr.records(Category::Copy));
+        tr.span("ev", Category::Sim, TrackId::new(0, 1), t(5), t(9));
         assert_eq!(tr.len(), 1);
         assert_eq!(tr.events()[0].name, "irq");
     }
@@ -425,15 +411,5 @@ mod tests {
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].name, "a");
         assert!(matches!(evs[1].kind, EventKind::Instant { at } if at == t(15)));
-    }
-
-    #[test]
-    fn clear_keeps_metadata() {
-        let tr = Tracer::enabled();
-        tr.set_process_name(0, "n");
-        tr.instant("x", Category::Other, TrackId::new(0, 0), t(1));
-        tr.clear();
-        assert!(tr.is_empty());
-        assert_eq!(tr.process_names().len(), 1);
     }
 }
